@@ -13,7 +13,10 @@
 //
 // `--smoke` runs the perf regression gate instead (exit 1 on a miss):
 //  * GoodRadius n=2048/d=2/t=n/16 under an absolute ns floor, and the
-//    grid-indexed profile >= 3x faster than the exact sweep in-process;
+//    grid-indexed profile >= 3x faster than the exact sweep in-process at
+//    n=4096, t=64;
+//  * RadiusProfile builds at the daemon's stream-solve (exact) and
+//    coreset-solve (weighted) shapes under absolute ms floors;
 //  * GoodCenter n=4096/d=32 at threads=4 not slower than threads=1 (the
 //    ParallelFor minimum-grain cutoff keeps sub-threshold regions serial).
 
@@ -21,12 +24,15 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "bench_util.h"
 #include "dpcluster/core/good_center.h"
 #include "dpcluster/core/good_radius.h"
 #include "dpcluster/core/k_cluster.h"
+#include "dpcluster/core/radius_profile.h"
 #include "dpcluster/coreset/coreset.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/pairwise.h"
 #include "dpcluster/parallel/thread_pool.h"
@@ -299,6 +305,76 @@ StreamingPoint RunStreamingMaintenance(std::size_t n, std::size_t t,
   return out;
 }
 
+// ------------------------------------------------- radius profile layer ---
+
+/// One RadiusProfile::Build shape the daemon's traffic hits, on
+/// planted_cluster data (d = 2, |X| = 2^12, cluster radius 0.02), built
+/// serially over an IndexedDataset, as a service solve builds it.
+struct ProfileShape {
+  std::string op;     ///< BENCH_scaling.json op name.
+  std::size_t n;      ///< Points generated.
+  double fraction;    ///< Planted cluster share of n.
+  std::size_t t;      ///< Profile target size; 0 = the instance's t.
+  bool coreset;       ///< Build over the default 2048-row coreset summary.
+  ProfileIndex index = ProfileIndex::kAuto;
+};
+
+// exact: a stream solve over 1024 live rows at t = 320 (t - 1 > n/4, so auto
+// picks the all-pairs generator); weighted: a coreset solve, the summary of
+// n = 2^17 at t = n/8; grid: the primary one_cluster solve, n = 4096,
+// t = 512, through the t-NN generator.
+const ProfileShape kProfileExact = {"RadiusProfile/exact", 1024, 0.375, 320,
+                                    false};
+const ProfileShape kProfileWeighted = {"RadiusProfile/weighted",
+                                       std::size_t{1} << 17, 0.125, 0, true};
+const ProfileShape kProfileGrid = {"RadiusProfile/grid", 4096, 0.125, 512,
+                                   false};
+
+struct ProfilePoint {
+  double ms = -1.0;  ///< Best-of-reps build wall time; -1 = failed.
+  std::size_t rows = 0;
+  std::size_t t = 0;
+};
+
+ProfilePoint MeasureProfile(const ProfileShape& shape, int reps) {
+  ScenarioSpec spec;
+  spec.scenario = "planted_cluster";
+  spec.n = shape.n;
+  spec.dim = 2;
+  spec.levels = 1u << 12;
+  spec.cluster_fraction = shape.fraction;
+  spec.cluster_radius = 0.02;
+  Rng rng(61);
+  Result<ScenarioInstance> instance = GenerateScenario(rng, spec);
+  if (!instance.ok()) return {};
+  Result<IndexedDataset> index = Status::Internal("unset");
+  if (shape.coreset) {
+    CoresetOptions copts;
+    copts.enabled = true;
+    Result<CoresetSummary> summary =
+        BuildCoreset(instance->points, instance->domain, copts, nullptr);
+    if (!summary.ok()) return {};
+    index = MakeWeightedIndex(std::move(*summary), instance->domain);
+  } else {
+    index = IndexedDataset::Create(instance->points, instance->domain);
+  }
+  if (!index.ok()) return {};
+  ProfilePoint out;
+  out.rows = index->active_size();
+  out.t = shape.t > 0 ? shape.t : instance->t;
+  double best = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    Result<RadiusProfile> profile = Status::Internal("unset");
+    best = std::min(best, bench::TimeMs([&] {
+      profile = RadiusProfile::Build(*index, out.t, out.rows, nullptr,
+                                     shape.index);
+    }));
+    if (!profile.ok()) return {};
+  }
+  out.ms = best;
+  return out;
+}
+
 // --------------------------------------------------------------- --smoke ---
 
 double BestOfThreeRadiusMs(std::size_t n, std::size_t t, std::size_t d,
@@ -424,20 +500,43 @@ int RunSmoke() {
   // exact sweep measured ~345e6 ns here (BENCH_scaling.baseline.json); the
   // grid-indexed profile runs it in ~25-40e6. The floors are deliberately
   // loose (CI machines vary) while still catching a fallback to quadratic.
+  // The exact generator buckets its pair events instead of sorting them and
+  // runs n=2048 in ~70 ms, under 2x the grid there, so the grid's speedup
+  // is checked at n=4096, t=64 (t = n/64), where the n^2 pair pass still
+  // costs ~5x the t-NN one.
   const double grid_ms = BestOfThreeRadiusMs(2048, 128, 2, ProfileIndex::kGrid);
-  const double exact_ms =
-      BestOfThreeRadiusMs(2048, 128, 2, ProfileIndex::kExact);
+  const double grid4k_ms =
+      BestOfThreeRadiusMs(4096, 64, 2, ProfileIndex::kGrid);
+  const double exact4k_ms =
+      BestOfThreeRadiusMs(4096, 64, 2, ProfileIndex::kExact);
   constexpr double kRadiusFloorMs = 150.0;
   constexpr double kRadiusSpeedupFloor = 3.0;
-  const bool radius_ok = grid_ms > 0.0 && exact_ms > 0.0 &&
-                         grid_ms < kRadiusFloorMs &&
-                         exact_ms / grid_ms >= kRadiusSpeedupFloor;
+  const bool radius_ok = grid_ms > 0.0 && grid4k_ms > 0.0 &&
+                         exact4k_ms > 0.0 && grid_ms < kRadiusFloorMs &&
+                         exact4k_ms / grid4k_ms >= kRadiusSpeedupFloor;
   std::printf(
-      "smoke: GoodRadius n=2048 t=128 d=2: grid %.1fms (floor %.0fms), "
-      "exact/grid %.2fx (floor %.1fx) -> %s\n",
-      grid_ms, kRadiusFloorMs, exact_ms / grid_ms, kRadiusSpeedupFloor,
-      radius_ok ? "OK" : "FAIL");
+      "smoke: GoodRadius d=2: grid n=2048 t=128 %.1fms (floor %.0fms), "
+      "n=4096 t=64 exact/grid %.1f/%.1fms = %.2fx (floor %.1fx) -> %s\n",
+      grid_ms, kRadiusFloorMs, exact4k_ms, grid4k_ms, exact4k_ms / grid4k_ms,
+      kRadiusSpeedupFloor, radius_ok ? "OK" : "FAIL");
   failures += radius_ok ? 0 : 1;
+
+  // RadiusProfile layer floors: the exact and weighted all-pairs generators
+  // at the daemon's stream-solve and coreset-solve shapes, ~3x over the
+  // times measured with bucketed events (BENCH_scaling.json). Sorting the
+  // events, as the generators once did, costs 8-12x these times.
+  constexpr double kProfileExactFloorMs = 45.0;
+  constexpr double kProfileWeightedFloorMs = 180.0;
+  for (const auto& [shape, floor_ms] :
+       {std::pair{kProfileExact, kProfileExactFloorMs},
+        std::pair{kProfileWeighted, kProfileWeightedFloorMs}}) {
+    const ProfilePoint point = MeasureProfile(shape, 3);
+    const bool ok = point.ms > 0.0 && point.ms < floor_ms;
+    std::printf("smoke: %s rows=%zu t=%zu: %.1fms (floor %.0fms) -> %s\n",
+                shape.op.c_str(), point.rows, point.t, point.ms, floor_ms,
+                ok ? "OK" : "FAIL");
+    failures += ok ? 0 : 1;
+  }
 
   // GoodCenter thread floor: with the ParallelFor minimum-grain cutoff,
   // threads=4 runs the same serial regions as threads=1 at this size, so it
@@ -539,6 +638,65 @@ int main(int argc, char** argv) {
   }
   Rng rng(41);
   bench::JsonReporter reporter("BENCH_scaling.json");
+
+  bench::Banner(
+      "RadiusProfile layer (planted_cluster, d=2, |X|=2^12, serial build over "
+      "an IndexedDataset)");
+  {
+    TextTable table({"op", "rows", "t", "build ms"});
+    for (const ProfileShape& shape :
+         {kProfileExact, kProfileWeighted, kProfileGrid}) {
+      const ProfilePoint point = MeasureProfile(shape, 5);
+      if (point.ms < 0.0) continue;
+      reporter.Add(shape.op, shape.n, 2, 1, point.ms * 1e6);
+      table.AddRow({shape.op,
+                    TextTable::FmtInt(static_cast<long long>(point.rows)),
+                    TextTable::FmtInt(static_cast<long long>(point.t)),
+                    TextTable::Fmt(point.ms, 2)});
+    }
+    table.Print();
+    bench::Note("The daemon's three profile shapes: a stream solve (all-pairs"
+                " generator), a coreset solve's 2048-row weighted summary"
+                " (weighted all-pairs) and the primary one_cluster solve (t-NN"
+                " generator). Every generator fills one fine-index bucket"
+                " layout by counting sort and feeds one sweep; no event is"
+                " sorted.");
+  }
+
+  bench::Banner(
+      "RadiusProfile generator crossover (planted_cluster, d=2, |X|=2^12, "
+      "serial): exact vs grid per t");
+  {
+    TextTable table({"n", "t", "exact ms", "grid ms", "auto picks"});
+    for (const std::size_t n : {1024u, 4096u}) {
+      for (const std::size_t div : {16u, 8u, 4u, 2u}) {
+        const std::size_t t = n / div;
+        const std::string suffix = "/t" + std::to_string(div);
+        ProfileShape shape = {"", n, 0.125, t, false, ProfileIndex::kExact};
+        shape.op = "RadiusProfileCrossover/exact" + suffix;
+        const ProfilePoint exact = MeasureProfile(shape, 3);
+        shape.op = "RadiusProfileCrossover/grid" + suffix;
+        shape.index = ProfileIndex::kGrid;
+        const ProfilePoint grid = MeasureProfile(shape, 3);
+        if (exact.ms < 0.0 || grid.ms < 0.0) continue;
+        reporter.Add("RadiusProfileCrossover/exact" + suffix, n, 2, 1,
+                     exact.ms * 1e6);
+        reporter.Add("RadiusProfileCrossover/grid" + suffix, n, 2, 1,
+                     grid.ms * 1e6);
+        table.AddRow(
+            {TextTable::FmtInt(static_cast<long long>(n)),
+             TextTable::FmtInt(static_cast<long long>(t)),
+             TextTable::Fmt(exact.ms, 1), TextTable::Fmt(grid.ms, 1),
+             std::string(ProfileIndexName(
+                 ResolveProfileIndex(ProfileIndex::kAuto, n, t, 2)))});
+      }
+    }
+    table.Print();
+    bench::Note("Re-measured with both generators bucketing their events."
+                " ResolveProfileIndex's constants predate that and are not"
+                " moved here: GoodRadius's subsample cap consults them, so"
+                " moving them changes released bytes.");
+  }
 
   bench::Banner("Runtime scaling, n sweep (d=2, |X|=2^12, t=n/2, eps=8)");
   {

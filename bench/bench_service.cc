@@ -17,9 +17,11 @@
 //     cores >= 8:  4.0x
 //     cores >= 2:  0.45 * min(8, cores)
 //     cores == 1:  0.80x (no-regression: queueing must not cost throughput)
-// and every reply in the sweep must be HTTP 200. BENCH_service.json records
-// the measured requests/second per worker count plus a "service/cores" row,
-// so the floor context travels with the numbers (see docs/OPERATIONS.md).
+// and every reply in the sweep must be HTTP 200. A "stream": true one_cluster
+// solve over 1024 live rows at t=320 must also answer under a p50 latency
+// floor. BENCH_service.json records the measured requests/second per worker
+// count, the stream-solve p50, plus a "service/cores" row, so the floor
+// context travels with the numbers (see docs/OPERATIONS.md).
 
 #include <algorithm>
 #include <atomic>
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/random/rng.h"
 #include "dpcluster/service/http_client.h"
 #include "dpcluster/service/http_server.h"
@@ -214,6 +217,98 @@ ReusePoint RunReuse(std::size_t requests) {
   return point;
 }
 
+/// Daemon latency of a "stream": true one_cluster solve: a resident stream
+/// of 1024 live planted_cluster rows (d = 2, |X| = 2^12, 37.5% in a cluster
+/// of radius 0.02) asked for t = 320, one solve at a time over a kept-alive
+/// connection. t - 1 > n/4 there, so the radius profile takes the all-pairs
+/// generator: this is the end-to-end number of the RadiusProfile layer.
+struct StreamSolvePoint {
+  double p50_ms = 0.0;
+  bool all_ok = true;
+};
+
+constexpr std::size_t kStreamRows = 1024;
+constexpr std::size_t kStreamT = 320;
+
+StreamSolvePoint RunStreamSolve(std::size_t solves) {
+  ServiceOptions service_options;
+  service_options.default_budget = {1e9, 0.5};  // Never budget-reject here.
+  service_options.diagnostics = false;
+  ClusterService service(service_options);
+  HttpServerOptions http_options;
+  http_options.workers = 1;
+  HttpServer server(&service, http_options);
+  if (Status status = server.Start(); !status.ok()) {
+    std::fprintf(stderr, "bench_service: %s\n",
+                 std::string(status.message()).c_str());
+    return {0.0, false};
+  }
+
+  ScenarioSpec spec;
+  spec.scenario = "planted_cluster";
+  spec.n = kStreamRows;
+  spec.dim = 2;
+  spec.levels = 1u << 12;
+  spec.cluster_fraction = 0.375;
+  spec.cluster_radius = 0.02;
+  Rng rng(1100);
+  Result<ScenarioInstance> instance = GenerateScenario(rng, spec);
+  if (!instance.ok()) return {0.0, false};
+  JsonValue rows = JsonValue::Array();
+  for (std::size_t i = 0; i < instance->points.size(); ++i) {
+    JsonValue row = JsonValue::Array();
+    for (const double c : instance->points[i]) row.Append(JsonValue::Number(c));
+    rows.Append(std::move(row));
+  }
+  JsonValue append = JsonValue::Object();
+  append.Set("dataset", JsonValue::String("live"));
+  append.Set("points", std::move(rows));
+  append.Set("levels", JsonValue::Number(instance->domain.levels()));
+  append.Set("axis", JsonValue::Number(instance->domain.axis_length()));
+
+  WireRequest wire;
+  wire.tenant = "stream-owner";
+  wire.dataset = "live";
+  wire.seed = 1101;
+  wire.stream = true;
+  wire.request.algorithm = "one_cluster";
+  wire.request.t = kStreamT;
+  wire.request.budget = {8.0, 1e-9};
+  const std::string solve = WireRequestToJson(wire).Encode();
+
+  StreamSolvePoint point;
+  HttpConnection connection(server.port());
+  const auto created = connection.Post("/v1/stream/append", append.Encode());
+  point.all_ok = created.ok() && created->status == 200;
+  std::vector<double> ms;
+  for (std::size_t i = 0; i < solves && point.all_ok; ++i) {
+    Result<HttpResponse> reply = Status::Internal("unset");
+    ms.push_back(bench::TimeMs(
+        [&] { reply = connection.Post("/v1/solve", solve); }));
+    if (!reply.ok() || reply->status != 200) {
+      point.all_ok = false;
+      std::fprintf(stderr, "  stream solve %zu: %s\n", i,
+                   reply.ok() ? reply->body.substr(0, 160).c_str()
+                              : std::string(reply.status().message()).c_str());
+    }
+  }
+  server.Stop();
+  if (ms.empty()) return {0.0, false};
+  std::sort(ms.begin(), ms.end());
+  point.p50_ms = ms[ms.size() / 2];
+  std::printf("  stream one_cluster solve, %zu live rows, t=%zu: p50 %.1f ms "
+              "over %zu solves%s\n",
+              kStreamRows, kStreamT, point.p50_ms, ms.size(),
+              point.all_ok ? "" : "  [non-200 replies!]");
+  return point;
+}
+
+void RecordStreamSolve(bench::JsonReporter& reporter,
+                       const StreamSolvePoint& point) {
+  reporter.Add("service/stream_one_cluster_p50", kStreamRows, 2, 1,
+               point.p50_ms * 1e6);
+}
+
 void Record(bench::JsonReporter& reporter,
             const std::vector<SweepPoint>& points) {
   const std::size_t cores = std::max(1u, std::thread::hardware_concurrency());
@@ -254,9 +349,11 @@ int RunSmoke(const std::string& out_path) {
   const std::vector<SweepPoint> points = RunAll(/*per_client=*/6);
   const ReusePoint reuse = RunReuse(/*requests=*/64);
   PrintReuse(reuse);
+  const StreamSolvePoint stream = RunStreamSolve(/*solves=*/15);
   bench::JsonReporter reporter(out_path);
   Record(reporter, points);
   RecordReuse(reporter, reuse);
+  RecordStreamSolve(reporter, stream);
   reporter.Write();
 
   int failures = 0;
@@ -272,6 +369,16 @@ int RunSmoke(const std::string& out_path) {
     std::printf("smoke: server never reused a connection -> FAIL\n");
     ++failures;
   }
+  // Stream-solve latency floor: ~3x over the p50 measured with the bucketed
+  // profile (~15 ms, BENCH_service.json). Sorting the profile's pair events,
+  // as the all-pairs generator once did, put this p50 at ~108 ms.
+  constexpr double kStreamSolveFloorMs = 50.0;
+  const bool stream_ok = stream.all_ok && stream.p50_ms < kStreamSolveFloorMs;
+  std::printf("smoke: stream one_cluster n=%zu t=%zu p50 %.1fms (floor %.0fms)"
+              " -> %s\n",
+              kStreamRows, kStreamT, stream.p50_ms, kStreamSolveFloorMs,
+              stream_ok ? "OK" : "FAIL");
+  failures += stream_ok ? 0 : 1;
   for (const SweepPoint& p : points) {
     if (!p.all_ok) {
       std::printf("smoke: workers=%zu saw a non-200 reply -> FAIL\n",
@@ -313,9 +420,11 @@ int main(int argc, char** argv) {
   const std::vector<SweepPoint> points = RunAll(/*per_client=*/12);
   const ReusePoint reuse = RunReuse(/*requests=*/512);
   PrintReuse(reuse);
+  const StreamSolvePoint stream = RunStreamSolve(/*solves=*/41);
   bench::JsonReporter reporter(out);
   Record(reporter, points);
   RecordReuse(reporter, reuse);
+  RecordStreamSolve(reporter, stream);
   reporter.Write();
   bench::Note(
       "\nEach of the 8 clients is its own tenant with its own dataset key;"

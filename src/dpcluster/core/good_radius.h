@@ -46,8 +46,7 @@ struct GoodRadiusOptions {
   std::size_t max_profile_points = 4096;
   /// Event generator for the kRecConcave engine's L(r,S) profile:
   /// auto (measured crossover), grid (t-NN pruned through geo/SpatialGrid,
-  /// ~O(n t) at low dimension), or exact (the all-pairs O(n^2 (d + log n))
-  /// sweep). Released outputs are bit-identical for every choice — the
+  /// ~O(n t) at low dimension), or exact (the all-pairs O(n^2 d) sweep). Released outputs are bit-identical for every choice — the
   /// pruning is lossless (see core/radius_profile.h); only the runtime
   /// moves. The kSparseVector engine answers its radius counts from
   /// per-point t-NN rows (geo/KnnCappedCounts, O(n t) memory — it never

@@ -12,8 +12,8 @@
 // maintains the sum of the t largest capped counts. Two event generators
 // feed the identical sweep:
 //
-//  * kExact  — all n(n-1) ordered pairs, the documented O(n^2 (d + log n))
-//    quadratic core.
+//  * kExact  — all n(n-1)/2 unordered pairs, O(n^2 d): one 8-byte (i, j)
+//    entry stands for both of a pair's events.
 //  * kGrid   — only each point's t-1 nearest neighbors, found through a
 //    geo/SpatialGrid index in ~O(n t) work at low dimension. This is lossless
 //    pruning, not an approximation: every per-center count is capped at t, so
@@ -25,9 +25,18 @@
 //    which determinism_test and radius_profile_test pin across all scenario
 //    families and thread counts.
 //
+// Neither generator sorts its events. Both fill one bucket layout — a
+// per-fine-index offset table over compact payloads — with a two-pass
+// counting sort, O(E + fine-domain size) for E events (a fine domain much
+// larger than E is first mapped to ranks of the fine indices present), and
+// the sweep walks the buckets in index order. Peak transient memory is
+// 12 bytes per pair (exact) or 16 bytes per neighbor (grid, counting the
+// k-NN distances). Weighted rows (coreset summaries) take the exact
+// generator with the same layout. BENCH_scaling.json's RadiusProfile/* rows
+// time the three at the daemon's request shapes.
+//
 // kAuto picks between them with a measured crossover: the grid build wins
-// once the pruned event stream is >= ~4x smaller than the pair stream
-// (sorting the n(n-1) events dominates the exact build from n ~ 1000), and
+// once the pruned event stream is >= ~4x smaller than the pair stream, and
 // the exact sweep keeps small inputs and t ~ n, where pruning saves nothing.
 
 #ifndef DPCLUSTER_CORE_RADIUS_PROFILE_H_
@@ -52,7 +61,7 @@ class ThreadPool;
 enum class ProfileIndex {
   kAuto,   ///< Measured crossover between the two (the default).
   kGrid,   ///< t-NN pruned events through a geo/SpatialGrid, ~O(n t) at low d.
-  kExact,  ///< All-pairs event sweep, O(n^2 (d + log n)).
+  kExact,  ///< All-pairs event sweep, O(n^2 d).
 };
 
 /// "auto", "grid", "exact".

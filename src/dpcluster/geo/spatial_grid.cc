@@ -7,6 +7,7 @@
 #include <limits>
 
 #include "dpcluster/common/check.h"
+#include "dpcluster/common/simd.h"
 #include "dpcluster/la/matrix.h"
 #include "dpcluster/la/qr.h"
 #include "dpcluster/la/vector_ops.h"
@@ -66,6 +67,53 @@ std::size_t ChooseCellsPerAxis(std::size_t n, std::size_t d, std::size_t k) {
 inline double RowSquaredDistance(const double* x, const double* y,
                                  std::size_t d) {
   return SquaredDistanceRows(x, y, d);
+}
+
+// Points per dimension-major panel of the blocked one-cell scan: 32 points
+// of up to ~128 dims stay in L1 while the chunk's queries pass over them.
+constexpr std::uint64_t kDensePanel = 32;
+
+// out[j] = RowSquaredDistance(q, point j) for the `count` points of a
+// dimension-major panel (panel[c * kDensePanel + j] is coordinate c of point
+// j; columns past `count` are padding). Every point keeps SquaredDistanceRows'
+// four lane sums, operand order and combine tree, so each value is
+// bit-identical to RowSquaredDistance's; only the loops run across points,
+// which vectorizes them instead of serializing on one pair's lane sums.
+DPC_TARGET_CLONES_AVX2
+void PanelSquaredDistances(const double* q, const double* panel,
+                           std::uint64_t count, std::size_t d, double* out) {
+  constexpr std::size_t kBlock = 8;
+  for (std::uint64_t j0 = 0; j0 < count; j0 += kBlock) {
+    double s0[kBlock] = {}, s1[kBlock] = {}, s2[kBlock] = {}, s3[kBlock] = {};
+    const double* col = panel + j0;
+    std::size_t c = 0;
+    for (; c + 4 <= d; c += 4, col += 4 * kDensePanel) {
+      const double q0 = q[c], q1 = q[c + 1], q2 = q[c + 2], q3 = q[c + 3];
+      for (std::size_t j = 0; j < kBlock; ++j) {
+        const double d0 = q0 - col[j];
+        const double d1 = q1 - col[kDensePanel + j];
+        const double d2 = q2 - col[2 * kDensePanel + j];
+        const double d3 = q3 - col[3 * kDensePanel + j];
+        s0[j] += d0 * d0;
+        s1[j] += d1 * d1;
+        s2[j] += d2 * d2;
+        s3[j] += d3 * d3;
+      }
+    }
+    double sum[kBlock];
+    for (std::size_t j = 0; j < kBlock; ++j) {
+      sum[j] = (s0[j] + s1[j]) + (s2[j] + s3[j]);
+    }
+    for (; c < d; ++c, col += kDensePanel) {
+      const double qc = q[c];
+      for (std::size_t j = 0; j < kBlock; ++j) {
+        const double diff = qc - col[j];
+        sum[j] += diff * diff;
+      }
+    }
+    const std::uint64_t m = std::min<std::uint64_t>(kBlock, count - j0);
+    for (std::uint64_t j = 0; j < m; ++j) out[j0 + j] = sum[j];
+  }
 }
 
 // Keeps the k smallest of `vals` (non-negative doubles) as its first k
@@ -675,20 +723,22 @@ void SpatialGrid::DenseKnnChunk(const std::uint32_t* queries, std::size_t nq,
   const std::uint64_t live = cell_end_[0] - start;
   std::vector<double>& block = scratch.dense_block;
   block.resize(nq * live);
-  // Point tiles sized to sit in L2 across the chunk's query passes: the tile
-  // is read nq times from cache while the full dataset streams from memory
-  // only once per chunk. Rows are indexed by live-prefix position, so reading
-  // a row left to right reproduces ScanCell's cell_points_ append order.
-  constexpr std::uint64_t kPointTile = 256;
-  for (std::uint64_t p0 = 0; p0 < live; p0 += kPointTile) {
-    const std::uint64_t p1 = std::min(p0 + kPointTile, live);
+  // Points are copied into dimension-major panels that sit in L1 across the
+  // chunk's query passes: a panel is read nq times from cache while the full
+  // dataset streams from memory only once per chunk. Rows are indexed by
+  // live-prefix position, so reading a row left to right reproduces
+  // ScanCell's cell_points_ append order.
+  std::vector<double>& panel = scratch.dense_panel;
+  panel.assign(kDensePanel * dim_, 0.0);
+  for (std::uint64_t p0 = 0; p0 < live; p0 += kDensePanel) {
+    const std::uint64_t count = std::min(kDensePanel, live - p0);
+    for (std::uint64_t j = 0; j < count; ++j) {
+      const double* p = data_.data() + cell_points_[start + p0 + j] * dim_;
+      for (std::size_t c = 0; c < dim_; ++c) panel[c * kDensePanel + j] = p[c];
+    }
     for (std::size_t qi = 0; qi < nq; ++qi) {
-      const double* qp = data_.data() + queries[qi] * dim_;
-      double* row = block.data() + qi * live;
-      for (std::uint64_t at = p0; at < p1; ++at) {
-        row[at] = RowSquaredDistance(
-            qp, data_.data() + cell_points_[start + at] * dim_, dim_);
-      }
+      PanelSquaredDistances(data_.data() + queries[qi] * dim_, panel.data(),
+                            count, dim_, block.data() + qi * live + p0);
     }
   }
   std::vector<double>& cands = scratch.candidates;

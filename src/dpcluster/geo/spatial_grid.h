@@ -178,6 +178,7 @@ class SpatialGrid {
     std::vector<double> ties;            // the k-th value's tie bucket
     std::vector<std::int64_t> center;    // decoded query cell coordinates
     std::vector<double> dense_block;     // blocked one-cell distance rows
+    std::vector<double> dense_panel;     // dimension-major point panel
   };
   void KnnDistances(std::size_t query, std::size_t k, Workspace& scratch,
                     std::vector<double>& out, bool sorted = true) const;

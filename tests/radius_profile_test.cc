@@ -3,14 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "dpcluster/core/radius_profile.h"
 #include "dpcluster/data/registry.h"
+#include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/pairwise.h"
+#include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "test_util.h"
 
@@ -218,6 +222,185 @@ TEST(RadiusProfileTest, FineGridTwiceSolutionGrid) {
   EXPECT_EQ(profile.fine_l().domain_size(),
             2 * (domain.RadiusGridSize() - 1) + 1);
   EXPECT_EQ(profile.solution_grid_size(), domain.RadiusGridSize());
+}
+
+// ------------------------------------------------ direct-evaluation oracle ---
+//
+// The cases below check the bucketed generators against the definition of L
+// itself rather than against each other. Their points have coordinates on a
+// 1/64 lattice, so every pairwise distance is sqrt(integer) / 64: distinct
+// distances sit >= ~1e-4 apart, far above the float oracle's resolution, and
+// duplicate rows are exactly distance 0 apart.
+
+constexpr std::uint64_t kHugeLevels = std::uint64_t{1} << 40;
+
+PointSet LatticePoints(Rng& rng, std::size_t n, std::size_t dim,
+                       std::uint64_t lattice_size) {
+  std::vector<double> flat;
+  for (std::size_t i = 0; i < n * dim; ++i) {
+    flat.push_back(static_cast<double>(rng.NextUint64(lattice_size + 1)) /
+                   64.0);
+  }
+  return MakePointSet(dim, std::move(flat));
+}
+
+// At every distinct pairwise distance (0 included) the profile must equal
+// PairwiseDistances::CappedTopAverage over `expanded` (the duplicate-expanded
+// points), read at a fine index that holds that distance but not the next.
+// The last fine index must count every pair, including pairs beyond the
+// grid's largest radius, which clamp onto it.
+void ExpectMatchesOracle(const RadiusProfile& profile,
+                         const PointSet& expanded, std::size_t t,
+                         const GridDomain& domain, const std::string& context) {
+  ASSERT_OK_AND_ASSIGN(PairwiseDistances pd,
+                       PairwiseDistances::Compute(expanded, expanded.size()));
+  std::vector<double> dists = {0.0};
+  for (std::size_t i = 0; i < expanded.size(); ++i) {
+    for (std::size_t j = i + 1; j < expanded.size(); ++j) {
+      dists.push_back(Distance(expanded[i], expanded[j]));
+    }
+  }
+  std::sort(dists.begin(), dists.end());
+  dists.erase(std::unique(dists.begin(), dists.end()), dists.end());
+  const double fine_step =
+      domain.axis_length() / (4.0 * static_cast<double>(domain.levels()));
+  const std::uint64_t last = profile.fine_l().domain_size() - 1;
+  std::size_t checked = 0;
+  for (std::size_t a = 0; a + 1 < dists.size(); ++a) {
+    // Fine index g covers radii up to g * fine_step: it must hold dists[a]
+    // and not dists[a + 1]. On a coarse grid two close distances can share
+    // a fine cell; such gaps are skipped.
+    const double g = std::floor((dists[a] + dists[a + 1]) / 2.0 / fine_step);
+    if (g >= static_cast<double>(last)) break;  // Past the grid's reach.
+    const double rg = g * fine_step;
+    if (rg < dists[a] || dists[a + 1] < rg + 1e-9) continue;
+    EXPECT_DOUBLE_EQ(profile.fine_l().ValueAt(static_cast<std::uint64_t>(g)),
+                     pd.CappedTopAverage(dists[a], t))
+        << context << " r=" << dists[a];
+    ++checked;
+  }
+  EXPECT_GT(checked, dists.size() / 2) << context;
+  EXPECT_DOUBLE_EQ(profile.fine_l().ValueAt(last),
+                   pd.CappedTopAverage(dists.back() + 1.0, t))
+      << context << " (last fine index)";
+}
+
+// Builds the profile through both unweighted generators, via the PointSet and
+// the IndexedDataset entry points, at 1 and 4 threads, and checks each
+// against the oracle.
+void ExpectAllGeneratorsMatchOracle(const PointSet& s, const GridDomain& domain,
+                                    const std::string& context) {
+  const std::size_t n = s.size();
+  ASSERT_OK_AND_ASSIGN(IndexedDataset index, IndexedDataset::Create(s, domain));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    for (const ProfileIndex generator : {ProfileIndex::kExact,
+                                         ProfileIndex::kGrid}) {
+      for (const std::size_t t :
+           {std::size_t{1}, std::size_t{2}, std::size_t{5}, n / 2, n}) {
+        const std::string where = context + " " +
+                                  std::string(ProfileIndexName(generator)) +
+                                  " t=" + std::to_string(t) +
+                                  " threads=" + std::to_string(threads);
+        ASSERT_OK_AND_ASSIGN(
+            RadiusProfile direct,
+            RadiusProfile::Build(s, t, domain, n, &pool, generator));
+        ExpectMatchesOracle(direct, s, t, domain, where);
+        ASSERT_OK_AND_ASSIGN(
+            RadiusProfile indexed,
+            RadiusProfile::Build(index, t, n, &pool, generator));
+        ExpectSameProfile(direct, indexed, where + " (indexed)");
+      }
+    }
+  }
+}
+
+// |X| = 2^40: the fine domain (~2^43 indices) dwarfs the event count, so the
+// buckets stand for ranks of the distinct fine indices present, and the
+// profile's breakpoints must land back on the original indices.
+TEST(RadiusProfileOracleTest, SparseHugeDomainThroughRankMap) {
+  Rng rng(71);
+  for (const std::size_t dim : {std::size_t{1}, std::size_t{2}}) {
+    const GridDomain domain(kHugeLevels, dim);
+    const PointSet s = LatticePoints(rng, 40, dim, 64);
+    ExpectAllGeneratorsMatchOracle(s, domain,
+                                   "|X|=2^40 d=" + std::to_string(dim));
+    ASSERT_OK_AND_ASSIGN(RadiusProfile profile,
+                         RadiusProfile::Build(s, 5, domain, s.size()));
+    EXPECT_GT(profile.fine_l().starts().back(), std::uint64_t{1} << 32);
+  }
+}
+
+// Points outside the domain's cube lie farther apart than the grid's largest
+// radius; their events clamp onto the last fine index, on the dense layout
+// (|X| = 16) and through the rank map (|X| = 2^40) alike.
+TEST(RadiusProfileOracleTest, DistancesClampAtMaxFine) {
+  Rng rng(72);
+  for (const std::uint64_t levels : {std::uint64_t{16}, kHugeLevels}) {
+    const GridDomain domain(levels, 1);
+    PointSet s = LatticePoints(rng, 24, 1, 64);
+    for (const double far : {1.5, 2.25, 3.0, 3.0}) {
+      s.Add(std::vector<double>{far});
+    }
+    ExpectAllGeneratorsMatchOracle(s, domain,
+                                   "clamp |X|=" + std::to_string(levels));
+  }
+}
+
+// Duplicate-heavy points (a 5x5 lattice holding 60 points): every duplicate
+// pair is an event at fine index 0, which must be swept before L(0) is
+// recorded.
+TEST(RadiusProfileOracleTest, DuplicatesLandAtIndexZero) {
+  Rng rng(73);
+  std::vector<double> flat;
+  for (std::size_t i = 0; i < 60 * 2; ++i) {
+    flat.push_back(static_cast<double>(16 * rng.NextUint64(5)) / 64.0);
+  }
+  const PointSet s = MakePointSet(2, std::move(flat));
+  for (const std::uint64_t levels : {std::uint64_t{1} << 8, kHugeLevels}) {
+    ExpectAllGeneratorsMatchOracle(s, GridDomain(levels, 2),
+                                   "duplicates |X|=" + std::to_string(levels));
+  }
+}
+
+// Weighted rows (weights 1..4, some rows repeated outright) against the
+// oracle over their duplicate expansion: pair (i, j) raises i by w(j) and j
+// by w(i), and each row's w - 1 self-copies land at fine index 0.
+TEST(RadiusProfileOracleTest, WeightedRowsMatchDuplicateExpansion) {
+  Rng rng(74);
+  for (const std::uint64_t levels : {std::uint64_t{1} << 10, kHugeLevels}) {
+    const GridDomain domain(levels, 2);
+    PointSet rows = LatticePoints(rng, 24, 2, 32);
+    for (const std::size_t twin : {0, 1}) {  // Copy first: Add may reallocate.
+      const std::vector<double> row(rows[twin].begin(), rows[twin].end());
+      rows.Add(row);
+    }
+    std::vector<std::uint64_t> weights;
+    PointSet expanded(2);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      weights.push_back(1 + rng.NextUint64(4));
+      for (std::uint64_t copy = 0; copy < weights.back(); ++copy) {
+        expanded.Add(rows[i]);
+      }
+    }
+    ASSERT_OK_AND_ASSIGN(IndexedDataset index,
+                         IndexedDataset::Create(rows, domain, weights));
+    ASSERT_TRUE(index.weighted());
+    const std::size_t mass = expanded.size();
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      ThreadPool pool(threads);
+      for (const std::size_t t : {std::size_t{1}, std::size_t{3}, mass / 4,
+                                  mass / 2, mass}) {
+        ASSERT_OK_AND_ASSIGN(
+            RadiusProfile profile,
+            RadiusProfile::Build(index, t, rows.size(), &pool));
+        ExpectMatchesOracle(profile, expanded, t, domain,
+                            "weighted |X|=" + std::to_string(levels) +
+                                " t=" + std::to_string(t) +
+                                " threads=" + std::to_string(threads));
+      }
+    }
+  }
 }
 
 }  // namespace
