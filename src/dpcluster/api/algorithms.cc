@@ -69,9 +69,7 @@ OneClusterOptions OneClusterOptionsFrom(const Request& request) {
   o.radius.subsample_grid_cap_factor =
       request.tuning.subsample_grid_cap_factor;
   o.radius.profile_index = request.tuning.profile_index;
-  o.radius.index_geometry = request.tuning.index_geometry;
   o.center.max_jl_dim = request.tuning.max_jl_dim;
-  o.center.projection_seed = request.tuning.projection_seed;
   o.num_threads = request.num_threads;
   return o;
 }
@@ -160,10 +158,7 @@ class KClusterAlgorithm : public Algorithm {
     o.one_cluster.radius.subsample_grid_cap_factor =
         request.tuning.subsample_grid_cap_factor;
     o.one_cluster.radius.profile_index = request.tuning.profile_index;
-    o.one_cluster.radius.index_geometry = request.tuning.index_geometry;
     o.one_cluster.center.max_jl_dim = request.tuning.max_jl_dim;
-    o.one_cluster.center.projection_seed = request.tuning.projection_seed;
-    o.index_geometry = request.tuning.index_geometry;
     o.coreset = CoresetOptionsFrom(request);
     DPC_ASSIGN_OR_RETURN(KClusterResult run,
                          KCluster(rng, request.data, *request.domain, o,

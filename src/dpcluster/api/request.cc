@@ -139,12 +139,10 @@ Result<std::shared_ptr<IndexedDataset>> BuildSharedIndex(
     DPC_ASSIGN_OR_RETURN(
         IndexedDataset index,
         MakeWeightedIndex(std::move(summary), *request.domain));
-    index.set_index_geometry(request.tuning.index_geometry);
     return std::make_shared<IndexedDataset>(std::move(index));
   }
   DPC_ASSIGN_OR_RETURN(IndexedDataset index,
                        IndexedDataset::Create(request.data, *request.domain));
-  index.set_index_geometry(request.tuning.index_geometry);
   return std::make_shared<IndexedDataset>(std::move(index));
 }
 

@@ -52,27 +52,14 @@ struct Tuning {
   /// (t-NN pruned spatial index, ~O(n t) at low dimension), or exact (the
   /// all-pairs O(n^2) sweep). Bit-identical outputs either way; read by
   /// every algorithm that runs GoodRadius (one_cluster, k_cluster,
-  /// outlier_screen, sample_aggregate's inner pipeline).
+  /// outlier_screen, sample_aggregate's inner pipeline). Speed only, so it
+  /// is not part of the wire protocol: set it from C++ or the CLI.
   ProfileIndex profile_index = ProfileIndex::kAuto;
-  /// Cell-grid coordinate space of every spatial index the request builds
-  /// (the shared index from BuildSharedIndex, k_cluster's incremental index,
-  /// GoodRadius's internal indexes): kAuto stays exact — where the original-d
-  /// grid degenerates to one cell (d >~ 16) batched queries run a blocked
-  /// dense scan; the JL-projected grid is an explicit opt-in (see
-  /// geo/spatial_grid.h). Query answers, and therefore released outputs, are
-  /// bit-identical across geometries; only the runtime moves.
-  IndexGeometry index_geometry = IndexGeometry::kAuto;
   /// GoodCenter: cap on the Johnson-Lindenstrauss projection dimension of the
   /// first phase (see GoodCenterOptions::max_jl_dim). Smaller = cheaper
   /// projections and coarser boxes; the eval harness sweeps this to map the
   /// accuracy/cost frontier.
   std::size_t max_jl_dim = 12;
-  /// GoodCenter: when non-zero, requests that carry an IndexedDataset route
-  /// GoodCenter's JL projection through the dataset's per-seed projection
-  /// cache (computed once, reused across k_cluster rounds) instead of a
-  /// fresh per-call draw. Data-independent randomness either way, so privacy
-  /// is unaffected; released bytes differ from the default-path reference.
-  std::uint64_t projection_seed = 0;
   /// Fraction of the (per-round) epsilon spent on RefineRadius to tighten
   /// the released ball. Read by k_cluster and outlier_screen, and by
   /// one_cluster when `refine_one_cluster` is set.

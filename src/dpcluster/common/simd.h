@@ -6,12 +6,17 @@
 // function is used. The AVX2 clone deliberately does NOT enable FMA: without
 // contraction every lane performs the same mul-then-add roundings as the
 // scalar build, so kernel outputs are bit-identical across instruction sets.
+//
+// ThreadSanitizer builds (__SANITIZE_THREAD__) get no clones either: the TSan
+// runtime is not yet set up when glibc runs ifunc resolvers during
+// relocation, so any -fsanitize=thread binary linking a cloned function
+// crashes before main. The plain function computes the same bits.
 
 #ifndef DPCLUSTER_COMMON_SIMD_H_
 #define DPCLUSTER_COMMON_SIMD_H_
 
 #if defined(__x86_64__) && defined(__gnu_linux__) && \
-    (defined(__GNUC__) || defined(__clang__))
+    (defined(__GNUC__) || defined(__clang__)) && !defined(__SANITIZE_THREAD__)
 #define DPC_TARGET_CLONES_AVX2 __attribute__((target_clones("default", "avx2")))
 #else
 #define DPC_TARGET_CLONES_AVX2

@@ -121,8 +121,7 @@ Result<GoodRadiusResult> RunRecConcaveEngine(Rng& rng, const PointSet* s,
           ? RadiusProfile::Build(*index, t, profile_cap, pool,
                                  options.profile_index)
           : RadiusProfile::Build(*s, t, domain, profile_cap, pool,
-                                 options.profile_index,
-                                 options.index_geometry);
+                                 options.profile_index);
   DPC_RETURN_IF_ERROR(built.status());
   const RadiusProfile& profile = *built;
 
@@ -187,7 +186,6 @@ Result<GoodRadiusResult> RunSparseVectorEngine(Rng& rng, const PointSet* s,
   } else {
     DPC_ASSIGN_OR_RETURN(IndexedDataset local,
                          IndexedDataset::Create(*s, domain));
-    local.set_index_geometry(options.index_geometry);
     built = KnnCappedCounts::Build(local, t, profile_cap, pool);
     DPC_RETURN_IF_ERROR(built.status());
     counts_ptr = &*built;

@@ -465,8 +465,7 @@ Result<RadiusProfile> RadiusProfile::Build(const PointSet& s, std::size_t t,
                                            const GridDomain& domain,
                                            std::size_t max_points,
                                            ThreadPool* pool,
-                                           ProfileIndex index,
-                                           IndexGeometry geometry) {
+                                           ProfileIndex index) {
   const std::size_t n = s.size();
   DPC_RETURN_IF_ERROR(ValidateBuildArgs(n, t, max_points));
   if (s.dim() != domain.dim()) {
@@ -481,7 +480,7 @@ Result<RadiusProfile> RadiusProfile::Build(const PointSet& s, std::size_t t,
     std::vector<double> knn(n * k);
     if (k > 0) {  // t = 1: every increment saturates; no events.
       DPC_ASSIGN_OR_RETURN(SpatialGrid grid,
-                           SpatialGrid::Build(s, domain, k, geometry));
+                           SpatialGrid::Build(s, domain, k));
       grid.BatchKnnDistances(k, knn, pool, /*sorted=*/false);
     }
     profile.fine_l_ = KnnProfile(knn, n, t, fine, pool);

@@ -49,7 +49,6 @@
 #include "dpcluster/dp/step_function.h"
 #include "dpcluster/geo/grid_domain.h"
 #include "dpcluster/geo/point_set.h"
-#include "dpcluster/geo/spatial_grid.h"
 
 namespace dpcluster {
 
@@ -87,15 +86,11 @@ class RadiusProfile {
   /// parallelizes the event generation (null = serial); chunk-ordered
   /// assembly keeps the profile bit-identical at any thread count. `index`
   /// selects the event generator (bit-identical either way, see above).
-  /// `geometry` is the cell-coordinate space of the kGrid generator's
-  /// spatial index (geo/spatial_grid.h) — also bit-identical either way.
   static Result<RadiusProfile> Build(const PointSet& s, std::size_t t,
                                      const GridDomain& domain,
                                      std::size_t max_points,
                                      ThreadPool* pool = nullptr,
-                                     ProfileIndex index = ProfileIndex::kAuto,
-                                     IndexGeometry geometry =
-                                         IndexGeometry::kAuto);
+                                     ProfileIndex index = ProfileIndex::kAuto);
 
   /// Builds the profile over the *active* points of a prebuilt
   /// geo/IndexedDataset — bit-identical to Build(index.ActiveView(), ...),

@@ -9,10 +9,8 @@
 
 #include "dpcluster/common/check.h"
 #include "dpcluster/geo/pairwise.h"
-#include "dpcluster/la/jl_transform.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/parallel_for.h"
-#include "dpcluster/random/rng.h"
 
 namespace dpcluster {
 
@@ -137,12 +135,7 @@ Result<std::size_t> IndexedDataset::Insert(std::span<const double> point,
   ++active_count_;
   // The new id is the maximum, so a clean ascending cache stays ascending.
   if (!active_ids_dirty_) active_ids_.push_back(static_cast<std::uint32_t>(id));
-  ++active_version_;
-  // The cached JL projection has size() rows anchored to the old data.
-  projection_.reset();
-  if (grid_.has_value() && !grid_->Append(points_.Data())) {
-    grid_.reset();  // Projected geometry: rebuilt lazily over the new data.
-  }
+  if (grid_.has_value()) grid_->Append(points_.Data());
   return id;
 }
 
@@ -171,10 +164,8 @@ std::vector<std::uint32_t> IndexedDataset::Compact() {
     active_ids_[i] = static_cast<std::uint32_t>(i);
   }
   active_ids_dirty_ = false;
-  ++active_version_;
   snapshot_epoch_ = NextSnapshotEpoch();  // Old snapshots no longer apply.
   grid_.reset();
-  projection_.reset();
   return old_ids;
 }
 
@@ -185,7 +176,6 @@ void IndexedDataset::Remove(std::size_t id) {
   --active_count_;
   if (!weights_.empty()) active_mass_ -= weights_[id];
   active_ids_dirty_ = true;
-  ++active_version_;
   if (grid_.has_value()) grid_->Remove(id);
 }
 
@@ -227,7 +217,6 @@ Status IndexedDataset::Restore(const Snapshot& snapshot) {
     }
   }
   active_ids_dirty_ = true;
-  ++active_version_;
   if (grid_.has_value()) grid_->ResetActive(active_);
   return Status::OK();
 }
@@ -237,7 +226,6 @@ void IndexedDataset::RestoreAll() {
   active_count_ = active_.size();
   active_mass_ = total_mass_;
   active_ids_dirty_ = true;
-  ++active_version_;
   if (grid_.has_value()) grid_->ResetActive(active_);
 }
 
@@ -245,56 +233,12 @@ const SpatialGrid& IndexedDataset::EnsureGrid(
     std::size_t expected_neighbors) const {
   DPC_CHECK(!points_.empty());
   if (!grid_.has_value()) {
-    auto built = SpatialGrid::Build(points_, domain_, expected_neighbors,
-                                    index_geometry_);
+    auto built = SpatialGrid::Build(points_, domain_, expected_neighbors);
     DPC_CHECK(built.ok());  // Preconditions hold by construction.
     grid_.emplace(std::move(*built));
     if (active_count_ < points_.size()) grid_->ResetActive(active_);
   }
   return *grid_;
-}
-
-void IndexedDataset::set_index_geometry(IndexGeometry geometry) {
-  if (geometry == index_geometry_) return;
-  index_geometry_ = geometry;
-  grid_.reset();  // Rebuilt lazily under the new policy.
-}
-
-const Matrix& IndexedDataset::ProjectedAll(std::uint64_t seed,
-                                           std::size_t out_dim,
-                                           ThreadPool* pool) const {
-  DPC_CHECK_GE(out_dim, 1u);
-  if (!projection_.has_value() || projection_->seed != seed ||
-      projection_->out_dim != out_dim) {
-    ProjectionCache cache;
-    cache.seed = seed;
-    cache.out_dim = out_dim;
-    Rng rng(seed);
-    const JlTransform jl(rng, points_.dim(), out_dim);
-    cache.all = jl.ApplyAll(points_, pool);
-    projection_.emplace(std::move(cache));
-  }
-  return projection_->all;
-}
-
-const Matrix& IndexedDataset::ProjectedActive(std::uint64_t seed,
-                                              std::size_t out_dim,
-                                              ThreadPool* pool) const {
-  const Matrix& all = ProjectedAll(seed, out_dim, pool);
-  if (active_count_ == points_.size()) return all;
-  ProjectionCache& cache = *projection_;
-  if (!cache.active_valid || cache.active_version != active_version_) {
-    const std::span<const std::uint32_t> ids = ActiveIds();
-    Matrix active(ids.size(), out_dim);
-    for (std::size_t r = 0; r < ids.size(); ++r) {
-      const auto row = all.Row(ids[r]);
-      std::copy(row.begin(), row.end(), active.Row(r).begin());
-    }
-    cache.active = std::move(active);
-    cache.active_valid = true;
-    cache.active_version = active_version_;
-  }
-  return cache.active;
 }
 
 void IndexedDataset::BatchKnn(std::size_t k, std::span<double> out,

@@ -28,7 +28,7 @@
 //     "beta": 0.1, "t": 500, "k": 2,
 //     "inlier_fraction": 0.9, "alpha": 0.5, "block_size": 0,
 //     "num_threads": 1, "label": "", "seed": 0,  // 0 = server default seed
-//     "tuning": { ... every Tuning field, see TuningToJson ... }
+//     "tuning": { ... every wire Tuning field, see TuningToJson ... }
 //   }
 
 #ifndef DPCLUSTER_SERVICE_PROTOCOL_H_
@@ -76,7 +76,8 @@ Result<WireRequest> ParseWireRequest(std::string_view body);
 /// fixed order, with exact integer lexemes.
 JsonValue WireRequestToJson(const WireRequest& wire);
 
-/// The tuning sub-object (every Tuning knob, fixed order).
+/// The tuning sub-object (every Tuning knob except the speed-only
+/// profile_index, which is C++/CLI only; fixed order).
 JsonValue TuningToJson(const Tuning& tuning);
 
 /// Strict parse of a tuning sub-object into `tuning` (unknown keys and

@@ -13,7 +13,6 @@
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/pairwise.h"
 #include "dpcluster/geo/spatial_grid.h"
-#include "dpcluster/la/jl_transform.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "test_util.h"
@@ -449,79 +448,6 @@ TEST(KnnCappedCountsTest, ApplyBatchRejectsInconsistentEdits) {
   for (std::uint32_t i = 0; i < 56; ++i) most.push_back(i);
   index.Remove(most);
   EXPECT_FALSE(counts.ApplyBatch(index, {}, most).ok());
-}
-
-// The per-dataset projection cache: one GEMM per (seed, out_dim), a stable
-// reference across repeated calls, and row-for-row agreement with applying
-// the same JlTransform directly.
-TEST(IndexedDatasetTest, ProjectionCacheReusesAcrossCalls) {
-  Rng rng(10);
-  IndexedDataset index = MakeIndexed(rng, 40, 16);
-  const std::uint64_t seed = 77;
-  const std::size_t out_dim = 8;
-
-  const Matrix& first = index.ProjectedAll(seed, out_dim);
-  ASSERT_EQ(first.rows(), 40u);
-  ASSERT_EQ(first.cols(), out_dim);
-  // Same (seed, out_dim) again: the same cached object, not a recompute.
-  EXPECT_EQ(&index.ProjectedAll(seed, out_dim), &first);
-
-  // Rows are bit-identical to the reference JlTransform drawn from Rng(seed).
-  Rng jl_rng(seed);
-  const JlTransform jl(jl_rng, index.dim(), out_dim);
-  for (std::size_t i = 0; i < index.size(); ++i) {
-    const std::vector<double> expect = jl.Apply(index.points()[i]);
-    const auto row = first.Row(i);
-    EXPECT_TRUE(std::equal(row.begin(), row.end(), expect.begin())) << i;
-  }
-
-  // A different (seed, out_dim) replaces the single-entry cache — and the
-  // original key recomputes correctly afterwards.
-  const Matrix& other = index.ProjectedAll(seed + 1, out_dim);
-  ASSERT_EQ(other.rows(), 40u);
-  const Matrix& back = index.ProjectedAll(seed, out_dim);
-  const auto row0 = back.Row(0);
-  const std::vector<double> expect0 = jl.Apply(index.points()[0]);
-  EXPECT_TRUE(std::equal(row0.begin(), row0.end(), expect0.begin()));
-}
-
-// ProjectedActive is the ActiveIds() row-gather of ProjectedAll, cached per
-// active-set version: stable across calls, invalidated by Remove / Restore.
-TEST(IndexedDatasetTest, ProjectedActiveTracksActiveSet) {
-  Rng rng(11);
-  IndexedDataset index = MakeIndexed(rng, 60, 16);
-  const std::uint64_t seed = 5;
-  const std::size_t out_dim = 6;
-
-  const Matrix& all = index.ProjectedAll(seed, out_dim);
-  // Every row active: the active slice is the full matrix itself.
-  EXPECT_EQ(&index.ProjectedActive(seed, out_dim), &all);
-
-  const auto snapshot = index.TakeSnapshot();
-  index.Remove(EveryThird(60));
-  const Matrix& active = index.ProjectedActive(seed, out_dim);
-  ASSERT_EQ(active.rows(), index.active_size());
-  const auto ids = index.ActiveIds();
-  for (std::size_t r = 0; r < active.rows(); ++r) {
-    const auto got = active.Row(r);
-    const auto expect = all.Row(ids[r]);
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.begin())) << r;
-  }
-  // No mutation in between: the same cached slice.
-  EXPECT_EQ(&index.ProjectedActive(seed, out_dim), &active);
-
-  // Restore invalidates the slice; all rows active again -> the full matrix.
-  EXPECT_OK(index.Restore(snapshot));
-  EXPECT_EQ(index.ProjectedActive(seed, out_dim).rows(), 60u);
-  EXPECT_EQ(&index.ProjectedActive(seed, out_dim), &all);
-
-  // Another removal pattern after the restore re-gathers the right rows.
-  index.Remove(std::size_t{1});
-  const Matrix& again = index.ProjectedActive(seed, out_dim);
-  ASSERT_EQ(again.rows(), 59u);
-  const auto got = again.Row(1);  // ActiveIds()[1] == 2 after removing row 1.
-  const auto expect = all.Row(2);
-  EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.begin()));
 }
 
 }  // namespace

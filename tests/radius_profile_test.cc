@@ -14,6 +14,7 @@
 #include "dpcluster/data/registry.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/pairwise.h"
+#include "dpcluster/geo/spatial_grid.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
 #include "test_util.h"
@@ -164,6 +165,10 @@ TEST(RadiusProfileTest, AutoCrossoverExtendsGridRangeAtHighDimension) {
   // against the events the sweep must then carry.
   EXPECT_EQ(ResolveProfileIndex(ProfileIndex::kAuto, 4096, 2500, 32),
             ProfileIndex::kExact);
+  // The collapse predicate that moves the crossover from n/4 to n/2.
+  EXPECT_TRUE(GridCollapsesToSingleCell(4096, 64, 16));
+  EXPECT_TRUE(GridCollapsesToSingleCell(4096, 32, 1499));
+  EXPECT_FALSE(GridCollapsesToSingleCell(4096, 2, 16));
 }
 
 // The lossless-pruning property: the grid-indexed profile must be

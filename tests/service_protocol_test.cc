@@ -2,7 +2,8 @@
 // service/protocol.h): strict parsing, lexeme-preserving numbers, the
 // byte-exact round-trip contract Encode(Parse(Encode(w))) == Encode(w) over
 // every wire-exposed Request field, and the structured error replies for
-// malformed inputs (truncated body, unknown algorithm, negative epsilon).
+// malformed inputs (truncated body, unknown algorithm, negative epsilon,
+// tuning keys that are not on the wire).
 
 #include <gtest/gtest.h>
 
@@ -104,10 +105,7 @@ WireRequest FullWireRequest() {
   request.tuning.radius_budget_fraction = 0.4;
   request.tuning.subsample_large_inputs = true;
   request.tuning.subsample_grid_cap_factor = 12.5;
-  request.tuning.profile_index = ProfileIndex::kGrid;
-  request.tuning.index_geometry = IndexGeometry::kProjected;
   request.tuning.max_jl_dim = 9;
-  request.tuning.projection_seed = 123456789012345ull;
   request.tuning.refine_fraction = 0.3;
   request.tuning.refine_one_cluster = true;
   request.tuning.advanced_composition = true;
@@ -158,10 +156,7 @@ TEST(WireProtocolTest, EveryFieldSurvivesTheRoundTrip) {
   EXPECT_DOUBLE_EQ(r.tuning.radius_budget_fraction, 0.4);
   EXPECT_TRUE(r.tuning.subsample_large_inputs);
   EXPECT_DOUBLE_EQ(r.tuning.subsample_grid_cap_factor, 12.5);
-  EXPECT_EQ(r.tuning.profile_index, ProfileIndex::kGrid);
-  EXPECT_EQ(r.tuning.index_geometry, IndexGeometry::kProjected);
   EXPECT_EQ(r.tuning.max_jl_dim, 9u);
-  EXPECT_EQ(r.tuning.projection_seed, 123456789012345ull);
   EXPECT_DOUBLE_EQ(r.tuning.refine_fraction, 0.3);
   EXPECT_TRUE(r.tuning.refine_one_cluster);
   EXPECT_TRUE(r.tuning.advanced_composition);
@@ -217,10 +212,34 @@ TEST(WireProtocolTest, RejectsMalformedWireRequests) {
            R"({"dataset": "d", "algorithm": "a", "points": [[1]], "snap": true})",
            R"({"dataset": "d", "algorithm": "a", "points": [[1]],)"
            R"( "tuning": {"bogus_knob": 1}})",
-           R"({"dataset": "d", "algorithm": "a", "points": [[1]],)"
-           R"( "tuning": {"profile_index": "never"}})",
        }) {
     EXPECT_FALSE(ParseWireRequest(bad).ok()) << bad;
+  }
+}
+
+// Speed-only index knobs are not part of the wire protocol: each is an
+// unknown tuning key, whatever value it carries.
+constexpr const char* kRemovedTuningKeys[][2] = {
+    {"profile_index", R"("grid")"},
+    {"index_geometry", R"("exact")"},
+    {"projection_seed", "42"},
+};
+
+std::string SolveBodyWithTuning(const char* key, const char* value) {
+  return std::string(
+             R"({"dataset": "d", "algorithm": "nonprivate", "points": [[0.5]],)"
+             R"( "t": 1, "tuning": {")") +
+         key + "\": " + value + "}}";
+}
+
+TEST(WireProtocolTest, RejectsSpeedOnlyIndexKnobsAsUnknownKeys) {
+  for (const auto& [key, value] : kRemovedTuningKeys) {
+    const auto parsed = ParseWireRequest(SolveBodyWithTuning(key, value));
+    ASSERT_FALSE(parsed.ok()) << key;
+    EXPECT_NE(parsed.status().message().find("\"tuning." + std::string(key) +
+                                             "\": unknown key"),
+              std::string::npos)
+        << parsed.status().message();
   }
 }
 
@@ -348,6 +367,21 @@ TEST(ServiceErrorTest, UnknownAlgorithmIs404AndChargesNothing) {
   ASSERT_OK_AND_ASSIGN(JsonValue body, JsonValue::Parse(reply.body));
   EXPECT_EQ(body.Find("error")->Find("code")->AsString(), "UnknownAlgorithm");
   EXPECT_DOUBLE_EQ(service.SpentBy("public", "d").epsilon, 0.0);
+}
+
+TEST(ServiceErrorTest, RemovedTuningKeysAre400ParseErrorsAndChargeNothing) {
+  for (const auto& [key, value] : kRemovedTuningKeys) {
+    ClusterService service;
+    const ServiceReply reply =
+        service.Handle("POST", "/v1/solve", SolveBodyWithTuning(key, value));
+    EXPECT_EQ(reply.http_status, 400) << key;
+    ASSERT_OK_AND_ASSIGN(JsonValue body, JsonValue::Parse(reply.body));
+    EXPECT_EQ(body.Find("error")->Find("code")->AsString(), "ParseError");
+    EXPECT_NE(body.Find("error")->Find("message")->AsString().find(key),
+              std::string::npos)
+        << reply.body;
+    EXPECT_DOUBLE_EQ(service.SpentBy("public", "d").epsilon, 0.0) << key;
+  }
 }
 
 TEST(ServiceErrorTest, NegativeEpsilonIsInvalidRequestAndChargesNothing) {

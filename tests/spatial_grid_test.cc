@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "dpcluster/geo/spatial_grid.h"
@@ -99,55 +101,89 @@ TEST(SpatialGridTest, BoundaryPointsStayInTheLastCell) {
   }
 }
 
-TEST(SpatialGridTest, DegenerateHighDimensionFallsBackToFullScan) {
-  Rng rng(103);
-  const std::size_t d = 32;
-  const std::size_t k = 20;
-  const GridDomain domain(1u << 10, d);
-  PointSet s = testing_util::UniformCube(rng, 150, d);
-  domain.SnapAll(s);
-  // The exact geometry at high d collapses to one cell and every query scans
-  // the full live prefix (kAuto resolves to exact too; the explicit request
-  // also pins the degenerate shape if the heuristics ever move).
-  ASSERT_OK_AND_ASSIGN(
-      SpatialGrid grid,
-      SpatialGrid::Build(s, domain, k, IndexGeometry::kExact));
-  EXPECT_EQ(grid.cells_per_axis(), 1u);
-  ExpectMatchesBruteForce(s, domain, k);
+// Brute-force radius count over the live points: Distance() <= r, the query
+// itself included.
+std::size_t BruteForceCount(const PointSet& s, const SpatialGrid& grid,
+                            std::size_t query, double r) {
+  std::size_t count = 0;
+  for (std::size_t j = 0; j < s.size(); ++j) {
+    if (grid.IsLive(j) && Distance(s[query], s[j]) <= r) ++count;
+  }
+  return count;
+}
 
-  // The one-cell batch runs the blocked dense pass: rows must equal the
-  // per-query path bit for bit, sorted and unsorted (as multisets), at any
-  // thread count, and for explicit query lists after a removal.
-  SpatialGrid::Workspace ws;
-  std::vector<double> row;
-  for (const bool sorted : {true, false}) {
-    std::vector<double> batch(s.size() * k);
-    grid.BatchKnnDistances(k, batch, nullptr, sorted);
-    for (std::size_t i = 0; i < s.size(); ++i) {
-      grid.KnnDistances(i, k, ws, row, sorted);
-      for (std::size_t j = 0; j < k; ++j) {
-        ASSERT_EQ(batch[i * k + j], row[j])
-            << "sorted=" << sorted << " i=" << i << " j=" << j;
+// Batched radius counts against brute force at three radii, each an actual
+// pairwise distance so the <= boundary is hit exactly, serial and threaded.
+void ExpectCountsMatchBruteForce(const PointSet& s, const SpatialGrid& grid,
+                                 std::span<const std::uint32_t> queries) {
+  ThreadPool pool(4);
+  for (const std::size_t j : {1u, 40u, 99u}) {
+    const double r = Distance(s[0], s[j]);
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      std::vector<std::size_t> counts(queries.size());
+      grid.BatchCountWithin(queries, r, counts, p);
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        ASSERT_EQ(counts[q], BruteForceCount(s, grid, queries[q], r))
+            << "r=" << r << " query=" << queries[q];
       }
     }
-    ThreadPool pool(4);
-    std::vector<double> parallel(s.size() * k);
-    grid.BatchKnnDistances(k, parallel, &pool, sorted);
-    EXPECT_EQ(batch, parallel) << "sorted=" << sorted;
   }
+}
 
-  grid.Remove(17);
-  std::vector<std::uint32_t> queries;
-  for (std::uint32_t i = 0; i < s.size(); ++i) {
-    if (i != 17) queries.push_back(i);
-  }
-  std::vector<double> batch_for(queries.size() * k);
-  grid.BatchKnnDistancesFor(queries, k, batch_for, nullptr);
-  for (std::size_t r = 0; r < queries.size(); ++r) {
-    grid.KnnDistances(queries[r], k, ws, row);
-    for (std::size_t j = 0; j < k; ++j) {
-      ASSERT_EQ(batch_for[r * k + j], row[j]) << "r=" << r << " j=" << j;
+TEST(SpatialGridTest, DegenerateHighDimensionFallsBackToFullScan) {
+  // d = 17 leaves a one-dimension tail in the panel kernel's 4-wide blocks;
+  // d = 64 is the widest shape the benches run.
+  for (const std::size_t d : {17u, 32u, 64u}) {
+    SCOPED_TRACE("d=" + std::to_string(d));
+    Rng rng(103 + d);
+    const std::size_t k = 20;
+    const GridDomain domain(1u << 10, d);
+    PointSet s = testing_util::UniformCube(rng, 150, d);
+    domain.SnapAll(s);
+    // At high d the grid collapses to one cell and every query scans the
+    // full live prefix.
+    ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, k));
+    EXPECT_EQ(grid.cells_per_axis(), 1u);
+    ExpectMatchesBruteForce(s, domain, k);
+
+    // The one-cell batch runs the blocked dense pass: rows must equal the
+    // per-query path bit for bit, sorted and unsorted (as multisets), at any
+    // thread count, and for explicit query lists after a removal.
+    SpatialGrid::Workspace ws;
+    std::vector<double> row;
+    for (const bool sorted : {true, false}) {
+      std::vector<double> batch(s.size() * k);
+      grid.BatchKnnDistances(k, batch, nullptr, sorted);
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        grid.KnnDistances(i, k, ws, row, sorted);
+        for (std::size_t j = 0; j < k; ++j) {
+          ASSERT_EQ(batch[i * k + j], row[j])
+              << "sorted=" << sorted << " i=" << i << " j=" << j;
+        }
+      }
+      ThreadPool pool(4);
+      std::vector<double> parallel(s.size() * k);
+      grid.BatchKnnDistances(k, parallel, &pool, sorted);
+      EXPECT_EQ(batch, parallel) << "sorted=" << sorted;
     }
+    std::vector<std::uint32_t> all(s.size());
+    for (std::uint32_t i = 0; i < s.size(); ++i) all[i] = i;
+    ExpectCountsMatchBruteForce(s, grid, all);
+
+    grid.Remove(17);
+    std::vector<std::uint32_t> queries;
+    for (std::uint32_t i = 0; i < s.size(); ++i) {
+      if (i != 17) queries.push_back(i);
+    }
+    std::vector<double> batch_for(queries.size() * k);
+    grid.BatchKnnDistancesFor(queries, k, batch_for, nullptr);
+    for (std::size_t r = 0; r < queries.size(); ++r) {
+      grid.KnnDistances(queries[r], k, ws, row);
+      for (std::size_t j = 0; j < k; ++j) {
+        ASSERT_EQ(batch_for[r * k + j], row[j]) << "r=" << r << " j=" << j;
+      }
+    }
+    ExpectCountsMatchBruteForce(s, grid, queries);
   }
 }
 

@@ -54,7 +54,7 @@ IndexedDataset ChurnedIndex(const ScenarioInstance& instance,
     EXPECT_OK(id.status());
     if (added != nullptr) added->push_back(static_cast<std::uint32_t>(*id));
   }
-  EXPECT_TRUE(index.grid_built());  // Exact geometry: no rebuild happened.
+  EXPECT_TRUE(index.grid_built());  // Insert grew the grid: no rebuild.
   return index;
 }
 
