@@ -24,9 +24,9 @@
 
 #include "bench_util.h"
 #include "dpcluster/core/k_cluster.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/spatial_grid.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 
 namespace dpcluster {
@@ -48,8 +48,11 @@ double CoverageTable(Rng& rng, KClusterOptions::IndexMode index_mode) {
     double ms = 0.0;
     int ok = 0;
     for (int trial = 0; trial < kTrials; ++trial) {
-      const ClusterWorkload w =
-          MakeGaussianMixture(rng, 4000, k, 2, 1u << 12, 0.01, 0.05);
+      const auto generated = GenerateScenario(
+          rng, {.scenario = "gaussian_mixture", .n = 4000, .k = k,
+                .sigma = 0.01, .noise_fraction = 0.05});
+      if (!generated.ok()) continue;
+      const ScenarioInstance& w = *generated;
       KClusterOptions options;
       options.params = {24.0, 1e-8};
       options.beta = 0.2;
@@ -108,15 +111,20 @@ std::vector<std::vector<std::uint32_t>> ShrinkSchedule(const PointSet& s,
 int RunSmoke() {
   int failures = 0;
   Rng data_rng(1007);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = 4096;
-  spec.t = 512;
+  spec.cluster_fraction = 0.125;  // t = 512
   spec.dim = 2;
   spec.levels = 1u << 12;
   spec.cluster_radius = 0.02;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const auto generated = GenerateScenario(data_rng, spec);
+  if (!generated.ok()) {
+    std::fprintf(stderr, "error: %s\n", generated.status().ToString().c_str());
+    return 1;
+  }
+  const ScenarioInstance& w = *generated;
   constexpr std::size_t kRounds = 8;
-  const std::size_t expected_neighbors = spec.t - 1;
+  const std::size_t expected_neighbors = w.t - 1;
   const auto schedule = ShrinkSchedule(w.points, kRounds);
 
   // Index maintenance: the geometry service KCluster's rounds consume.

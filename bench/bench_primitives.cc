@@ -2,12 +2,13 @@
 // built from (S2, S6-S13 in DESIGN.md).
 //
 // Two layers:
-//  * A headline section that times the blocked kernels against frozen copies
-//    of the pre-PR serial implementations (naive pairwise build, per-point JL
-//    projection, std::upper_bound counting) and writes every measurement to
-//    BENCH_primitives.json so the perf trajectory is machine-readable across
-//    PRs. `--smoke` shrinks the repetitions and turns the speedup ratios into
-//    hard floors (exit 1), which is what CI runs so kernel regressions fail
+//  * A headline section that times the kernels against frozen copies of the
+//    earlier serial implementations (per-point JL projection, std::upper_bound
+//    counting) and writes every measurement to BENCH_primitives.json so the
+//    perf trajectory is machine-readable across PRs. Each section seeds its
+//    own Rng, so adding or removing a section leaves the others' data alone.
+//    `--smoke` shrinks the repetitions and turns the JL speedup into a hard
+//    floor (exit 1), which is what CI runs so kernel regressions fail
 //    loudly.
 //  * The google-benchmark suite over the remaining primitives (skipped under
 //    --smoke).
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -30,8 +32,8 @@
 #include "dpcluster/dp/noisy_average.h"
 #include "dpcluster/dp/stable_histogram.h"
 #include "dpcluster/dp/step_function.h"
+#include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/grid_domain.h"
-#include "dpcluster/geo/pairwise.h"
 #include "dpcluster/la/jl_transform.h"
 #include "dpcluster/la/qr.h"
 #include "dpcluster/la/vector_ops.h"
@@ -46,7 +48,7 @@ namespace {
 // acceptance speedups are measured against — do not "optimize" these).
 // ------------------------------------------------------------------------
 
-// Seed-era PairwiseDistances::Compute: per-pair sqrt(SquaredDistance) with
+// Seed-era all-pairs distance rows: per-pair sqrt(SquaredDistance) with
 // symmetric fill, then per-row sorts.
 std::vector<float> ReferencePairwiseRows(const PointSet& s) {
   const std::size_t n = s.size();
@@ -109,47 +111,15 @@ double BestOfMs(int reps, F&& f) {
   return best;
 }
 
-struct HeadlineResult {
-  double pairwise_speedup = 0.0;
-  double jl_speedup = 0.0;
-};
-
-HeadlineResult RunHeadline(bench::JsonReporter& reporter, bool smoke) {
-  HeadlineResult result;
+// Returns the serial JL speedup (the --smoke floor's input).
+double RunHeadline(bench::JsonReporter& reporter, bool smoke) {
   const int reps = smoke ? 2 : 5;
-  Rng rng(20260730);
   const std::size_t hw = ThreadPool(0).num_threads();
 
-  bench::Banner("Pairwise distance build: naive baseline vs blocked Gram");
-  {
-    const std::size_t n = 2048, d = 64;
-    const PointSet s = ClusteredCube(rng, n, d);
-    const double naive_ms = BestOfMs(reps, [&] {
-      benchmark::DoNotOptimize(ReferencePairwiseRows(s));
-    });
-    ThreadPool serial(1);
-    const double gram_ms = BestOfMs(reps, [&] {
-      benchmark::DoNotOptimize(PairwiseDistances::Compute(s, n, &serial));
-    });
-    ThreadPool pool(0);
-    const double gram_mt_ms = BestOfMs(reps, [&] {
-      benchmark::DoNotOptimize(PairwiseDistances::Compute(s, n, &pool));
-    });
-    result.pairwise_speedup = naive_ms / gram_ms;
-    bench::Note("n=" + std::to_string(n) + " d=" + std::to_string(d) +
-                ": naive " + std::to_string(naive_ms) + " ms, gram(1T) " +
-                std::to_string(gram_ms) + " ms, gram(" + std::to_string(hw) +
-                "T) " + std::to_string(gram_mt_ms) + " ms  =>  " +
-                std::to_string(result.pairwise_speedup) + "x serial speedup");
-    const double per_op = 1e6 / static_cast<double>(n) / static_cast<double>(n);
-    reporter.Add("PairwiseDistances::Compute[naive-baseline]", n, d, 1,
-                 naive_ms * per_op);
-    reporter.Add("PairwiseDistances::Compute", n, d, 1, gram_ms * per_op);
-    reporter.Add("PairwiseDistances::Compute", n, d, hw, gram_mt_ms * per_op);
-  }
-
+  double jl_speedup = 0.0;
   bench::Banner("Batched JL projection: per-point baseline vs ApplyAll");
   {
+    Rng rng(20260731);
     const std::size_t n = 4096, d = 256, k = 16;
     const PointSet s = ClusteredCube(rng, n, d);
     const JlTransform jl(rng, d, k);
@@ -164,13 +134,13 @@ HeadlineResult RunHeadline(bench::JsonReporter& reporter, bool smoke) {
     const double batched_mt_ms = BestOfMs(reps, [&] {
       benchmark::DoNotOptimize(jl.ApplyAll(s, &pool));
     });
-    result.jl_speedup = loop_ms / batched_ms;
+    jl_speedup = loop_ms / batched_ms;
     bench::Note("n=" + std::to_string(n) + " d=" + std::to_string(d) + " k=" +
                 std::to_string(k) + ": loop " + std::to_string(loop_ms) +
                 " ms, ApplyAll(1T) " + std::to_string(batched_ms) +
                 " ms, ApplyAll(" + std::to_string(hw) + "T) " +
                 std::to_string(batched_mt_ms) + " ms  =>  " +
-                std::to_string(result.jl_speedup) + "x serial speedup");
+                std::to_string(jl_speedup) + "x serial speedup");
     const double per_op = 1e6 / static_cast<double>(n);
     reporter.Add("JlTransform::Apply[loop-baseline]", n, d, 1, loop_ms * per_op);
     reporter.Add("JlTransform::ApplyAll", n, d, 1, batched_ms * per_op);
@@ -179,20 +149,27 @@ HeadlineResult RunHeadline(bench::JsonReporter& reporter, bool smoke) {
 
   bench::Banner("CountWithin: std::upper_bound vs branchless upper_bound");
   {
+    Rng rng(20260732);
     const std::size_t n = 2048, d = 4;
-    const PointSet s = ClusteredCube(rng, n, d);
-    const auto pd = PairwiseDistances::Compute(s, n);
+    const std::vector<float> rows =
+        ReferencePairwiseRows(ClusteredCube(rng, n, d));
     std::vector<double> radii(4096);
     for (double& r : radii) r = rng.NextDouble() * 1.2;
+    const auto row = [&](std::size_t q) {
+      return std::span<const float>(&rows[(q % n) * n], n);
+    };
     std::size_t sink = 0;
     const double std_ms = BestOfMs(reps, [&] {
       for (std::size_t q = 0; q < radii.size(); ++q) {
-        sink += ReferenceCountWithin(pd->SortedRow(q % n), radii[q]);
+        sink += ReferenceCountWithin(row(q), radii[q]);
       }
     });
     const double branchless_ms = BestOfMs(reps, [&] {
       for (std::size_t q = 0; q < radii.size(); ++q) {
-        sink += pd->CountWithin(q % n, radii[q]);
+        const float bound =
+            std::nextafter(static_cast<float>(radii[q]),
+                           std::numeric_limits<float>::infinity());
+        sink += BranchlessUpperBound(row(q), bound);
       }
     });
     benchmark::DoNotOptimize(sink);
@@ -205,23 +182,7 @@ HeadlineResult RunHeadline(bench::JsonReporter& reporter, bool smoke) {
     reporter.Add("CountWithin[branchless]", n, d, 1, branchless_ms * per_op);
   }
 
-  bench::Banner("CappedTopAverage (scratch buffer reuse)");
-  {
-    const std::size_t n = 2048, d = 4;
-    const PointSet s = ClusteredCube(rng, n, d);
-    const auto pd = PairwiseDistances::Compute(s, n);
-    const double ms = BestOfMs(reps, [&] {
-      for (double r : {0.05, 0.2, 0.5, 0.9}) {
-        benchmark::DoNotOptimize(pd->CappedTopAverage(r, n / 2));
-      }
-    });
-    bench::Note("4 L(r) queries at n=" + std::to_string(n) + ": " +
-                std::to_string(ms) + " ms");
-    reporter.Add("PairwiseDistances::CappedTopAverage", n, d, 1,
-                 ms * 1e6 / 4.0);
-  }
-
-  return result;
+  return jl_speedup;
 }
 
 // ------------------------------------------------------------------------
@@ -375,19 +336,6 @@ void BM_StepFunctionWindowMin(benchmark::State& state) {
 }
 BENCHMARK(BM_StepFunctionWindowMin)->Arg(1000)->Arg(100000);
 
-void BM_PairwiseCappedTopAverage(benchmark::State& state) {
-  Rng rng(10);
-  const auto n = static_cast<std::size_t>(state.range(0));
-  PointSet s(4);
-  const std::vector<double> c(4, 0.5);
-  for (std::size_t i = 0; i < n; ++i) s.Add(SampleBall(rng, c, 0.4));
-  const auto pd = PairwiseDistances::Compute(s, n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pd->CappedTopAverage(0.2, n / 2));
-  }
-}
-BENCHMARK(BM_PairwiseCappedTopAverage)->Arg(512)->Arg(2048);
-
 }  // namespace
 }  // namespace dpcluster
 
@@ -404,30 +352,15 @@ int main(int argc, char** argv) {
   }
 
   bench::JsonReporter reporter("BENCH_primitives.json");
-  const HeadlineResult headline = RunHeadline(reporter, smoke);
+  const double jl_speedup = RunHeadline(reporter, smoke);
   reporter.Write();
 
   if (smoke) {
-    // Regression floors, deliberately below the recorded ~3x/2x speedups so
+    // Regression floor, deliberately below the recorded ~2x speedup so
     // shared CI runners don't flake, but far above any "kernel fell back to
     // scalar" regression.
-    bool ok = true;
-    if (headline.pairwise_speedup < 1.5) {
-      std::fprintf(stderr,
-                   "FAIL: PairwiseDistances::Compute speedup %.2fx < 1.5x "
-                   "regression floor\n",
-                   headline.pairwise_speedup);
-      ok = false;
-    }
-    if (headline.jl_speedup < 1.2) {
-      std::fprintf(stderr,
-                   "FAIL: batched JL speedup %.2fx < 1.2x regression floor\n",
-                   headline.jl_speedup);
-      ok = false;
-    }
-    std::printf("smoke: pairwise %.2fx (floor 1.5x), jl %.2fx (floor 1.2x) "
-                "=> %s\n",
-                headline.pairwise_speedup, headline.jl_speedup,
+    const bool ok = jl_speedup >= 1.2;
+    std::printf("smoke: jl %.2fx (floor 1.2x) => %s\n", jl_speedup,
                 ok ? "OK" : "FAIL");
     return ok ? 0 : 1;
   }

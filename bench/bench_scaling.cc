@@ -34,9 +34,7 @@
 #include "dpcluster/coreset/coreset.h"
 #include "dpcluster/data/registry.h"
 #include "dpcluster/geo/dataset.h"
-#include "dpcluster/geo/pairwise.h"
 #include "dpcluster/parallel/thread_pool.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 
 namespace dpcluster {
@@ -57,13 +55,15 @@ struct ConfigOptions {
 void RunConfig(TextTable& table, bench::JsonReporter& reporter, Rng& rng,
                std::size_t n, std::size_t d, std::uint64_t levels,
                const ConfigOptions& cfg = {}) {
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = n;
-  spec.t = n / cfg.t_divisor;
+  spec.cluster_fraction = 1.0 / static_cast<double>(cfg.t_divisor);
   spec.dim = d;
   spec.levels = levels;
   spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  const Result<ScenarioInstance> generated = GenerateScenario(rng, spec);
+  if (!generated.ok()) return;
+  const ScenarioInstance& w = *generated;
 
   GoodRadiusOptions radius_opts;
   radius_opts.params = {cfg.eps, 1e-9};
@@ -112,14 +112,16 @@ const std::vector<std::string> kHeader = {
 void RunThreadSweep(TextTable& table, bench::JsonReporter& reporter,
                     std::size_t n, std::size_t d, std::uint64_t levels,
                     double eps) {
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = n;
-  spec.t = n / 2;
+  spec.cluster_fraction = 0.5;  // t = n / 2
   spec.dim = d;
   spec.levels = levels;
   spec.cluster_radius = 0.01;
   Rng data_rng(4242);
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const Result<ScenarioInstance> generated = GenerateScenario(data_rng, spec);
+  if (!generated.ok()) return;
+  const ScenarioInstance& w = *generated;
 
   const std::vector<std::size_t> counts = {1, 2, 4, 0};
   std::vector<double> radius_ms(counts.size(), 1e300);
@@ -211,13 +213,15 @@ StreamingPoint RunStreamingMaintenance(std::size_t n, std::size_t t,
   out.batches = batches;
   out.batch_size = batch_size;
   Rng data_rng(53);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = n;
-  spec.t = t;
+  spec.cluster_fraction = static_cast<double>(t) / static_cast<double>(n);
   spec.dim = 2;
   spec.levels = 1u << 12;
   spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const Result<ScenarioInstance> generated = GenerateScenario(data_rng, spec);
+  if (!generated.ok()) return out;
+  const ScenarioInstance& w = *generated;
   const std::size_t n0 = n - batches * batch_size;
   const std::size_t expire_size = batch_size / 4;
 
@@ -377,13 +381,15 @@ ProfilePoint MeasureProfile(const ProfileShape& shape, int reps) {
 double BestOfThreeRadiusMs(std::size_t n, std::size_t t, std::size_t d,
                            ProfileIndex profile_index) {
   Rng data_rng(41);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = n;
-  spec.t = t;
+  spec.cluster_fraction = static_cast<double>(t) / static_cast<double>(n);
   spec.dim = d;
   spec.levels = 1u << 12;
   spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const Result<ScenarioInstance> generated = GenerateScenario(data_rng, spec);
+  if (!generated.ok()) return -1.0;
+  const ScenarioInstance& w = *generated;
   GoodRadiusOptions opts;
   opts.params = {8.0, 1e-9};
   opts.beta = 0.1;
@@ -402,13 +408,15 @@ double BestOfThreeRadiusMs(std::size_t n, std::size_t t, std::size_t d,
 
 double BestOfThreeCenterMs(std::size_t num_threads) {
   Rng data_rng(42);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = 4096;
-  spec.t = 2048;
+  spec.cluster_fraction = 0.5;  // t = 2048
   spec.dim = 32;
   spec.levels = 1u << 12;
   spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const Result<ScenarioInstance> generated = GenerateScenario(data_rng, spec);
+  if (!generated.ok()) return -1.0;
+  const ScenarioInstance& w = *generated;
   GoodCenterOptions opts;
   opts.params = {32.0, 1e-9};
   opts.beta = 0.1;
@@ -432,13 +440,15 @@ double BestOfThreeCenterMs(std::size_t num_threads) {
 // success boundary and the gate would flake).
 double BestOfTwoPipelineMs(std::size_t d) {
   Rng data_rng(43);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = 4096;
-  spec.t = 512;
+  spec.cluster_fraction = 0.125;  // t = 512
   spec.dim = d;
   spec.levels = 1u << 12;
   spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const Result<ScenarioInstance> generated = GenerateScenario(data_rng, spec);
+  if (!generated.ok()) return -1.0;
+  const ScenarioInstance& w = *generated;
   GoodRadiusOptions radius_opts;
   radius_opts.params = {64.0, 1e-9};
   radius_opts.beta = 0.1;
@@ -467,13 +477,15 @@ double BestOfTwoPipelineMs(std::size_t d) {
 // pipeline) at (n, t=n/16, d=2). Returns wall ms or -1 on failure.
 double CoresetRadiusMs(std::size_t n, bool coreset) {
   Rng data_rng(47);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = n;
-  spec.t = n / 16;
+  spec.cluster_fraction = 0.0625;  // t = n / 16
   spec.dim = 2;
   spec.levels = 1u << 12;
   spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  const Result<ScenarioInstance> generated = GenerateScenario(data_rng, spec);
+  if (!generated.ok()) return -1.0;
+  const ScenarioInstance& w = *generated;
   GoodRadiusOptions opts;
   opts.params = {8.0, 1e-9};
   opts.beta = 0.1;
@@ -633,7 +645,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) return RunSmoke();
   }
-  Rng rng(41);
+  // Every section seeds its own Rng, so adding or removing a row never
+  // changes the data another section measures.
   bench::JsonReporter reporter("BENCH_scaling.json");
 
   bench::Banner(
@@ -697,6 +710,7 @@ int main(int argc, char** argv) {
 
   bench::Banner("Runtime scaling, n sweep (d=2, |X|=2^12, t=n/2, eps=8)");
   {
+    Rng rng(41);
     TextTable table(kHeader);
     for (std::size_t n : {512u, 1024u, 2048u, 4096u}) {
       RunConfig(table, reporter, rng, n, 2, 1u << 12);
@@ -709,6 +723,7 @@ int main(int argc, char** argv) {
 
   bench::Banner("Subquadratic radius profile (n=4096, t=n/16, |X|=2^12)");
   {
+    Rng rng(141);
     TextTable table(kHeader);
     for (std::size_t d : {2u, 8u}) {
       ConfigOptions grid;
@@ -732,6 +747,7 @@ int main(int argc, char** argv) {
       "High dimension: original-d grid vs exact sweep "
       "(n=4096, t=n/16, |X|=2^12, eps=64)");
   {
+    Rng rng(241);
     TextTable table(kHeader);
     for (std::size_t d : {8u, 16u, 32u, 64u}) {
       ConfigOptions grid;
@@ -761,17 +777,19 @@ int main(int argc, char** argv) {
     // d = 16: the highest dimension where the per-round budget (eps / k
     // across 8 rounds) still clears GoodCenter's histogram thresholds, so
     // the bench measures found clusters rather than 8 suppressed rounds.
-    const ClusterWorkload w =
-        MakeGaussianMixture(data_rng, 4096, 8, 16, 1u << 12, 0.02, 0.1);
+    const Result<ScenarioInstance> w = GenerateScenario(
+        data_rng, {.scenario = "gaussian_mixture", .n = 4096, .dim = 16,
+                   .k = 8, .sigma = 0.02, .noise_fraction = 0.1});
     KClusterOptions options;
     options.params = {64.0, 1e-9};
     options.beta = 0.2;
     options.k = 8;
     Rng rng_run(4331);
     Result<KClusterResult> run = Status::Internal("unset");
-    const double ms = bench::TimeMs(
-        [&] { run = KCluster(rng_run, w.points, w.domain, options); });
-    reporter.Add("KClusterK8", w.points.size(), w.points.dim(), 1, ms * 1e6);
+    const double ms = bench::TimeMs([&] {
+      if (w.ok()) run = KCluster(rng_run, w->points, w->domain, options);
+    });
+    if (run.ok()) reporter.Add("KClusterK8", 4096, 16, 1, ms * 1e6);
     table.AddRow({TextTable::Fmt(ms, 1),
                   run.ok() ? TextTable::FmtInt(
                                  static_cast<long long>(run->rounds.size()))
@@ -782,55 +800,45 @@ int main(int argc, char** argv) {
   }
 
   bench::Banner(
-      "SparseVector engine structure (t=n/16): O(n t) KnnCappedCounts vs the "
-      "removed n x n PairwiseDistances matrix");
+      "SparseVector engine structure (t=n/16): O(n t) KnnCappedCounts rows");
   {
-    TextTable table({"n", "t", "d", "counts ms", "counts MB", "matrix ms",
-                     "matrix MB"});
+    Rng rng(341);
+    TextTable table({"n", "t", "d", "counts ms", "counts MB"});
     for (std::size_t n : {2048u, 4096u}) {
-      const std::size_t t = n / 16;
-      PlantedClusterSpec spec;
+      ScenarioSpec spec;
       spec.n = n;
-      spec.t = t;
+      spec.cluster_fraction = 0.0625;  // t = n / 16
       spec.dim = 2;
       spec.levels = 1u << 12;
       spec.cluster_radius = 0.01;
-      const ClusterWorkload w = MakePlantedCluster(rng, spec);
+      const Result<ScenarioInstance> w = GenerateScenario(rng, spec);
+      if (!w.ok()) continue;
 
       Result<IndexedDataset> index =
-          IndexedDataset::Create(w.points, w.domain);
+          IndexedDataset::Create(w->points, w->domain);
       if (!index.ok()) continue;
       Result<KnnCappedCounts> counts = Status::Internal("unset");
       const double counts_ms = bench::TimeMs(
-          [&] { counts = KnnCappedCounts::Build(*index, t, n); });
-      Result<PairwiseDistances> matrix = Status::Internal("unset");
-      const double matrix_ms = bench::TimeMs(
-          [&] { matrix = PairwiseDistances::Compute(w.points, n); });
-      if (!counts.ok() || !matrix.ok()) continue;
+          [&] { counts = KnnCappedCounts::Build(*index, w->t, n); });
+      if (!counts.ok()) continue;
       const std::size_t counts_bytes = counts->MemoryBytes();
-      const std::size_t matrix_bytes = n * n * sizeof(float);
-      // The bytes column pins the matrix removal: the engine now allocates
-      // counts_bytes where it used to allocate matrix_bytes.
       reporter.Add("SparseVectorCounts/t16", n, 2, 1, counts_ms * 1e6,
                    counts_bytes);
-      reporter.Add("SparseVectorMatrix[removed-baseline]/t16", n, 2, 1,
-                   matrix_ms * 1e6, matrix_bytes);
       table.AddRow({TextTable::FmtInt(static_cast<long long>(n)),
-                    TextTable::FmtInt(static_cast<long long>(t)),
+                    TextTable::FmtInt(static_cast<long long>(w->t)),
                     TextTable::FmtInt(2),
                     TextTable::Fmt(counts_ms, 1),
-                    TextTable::Fmt(static_cast<double>(counts_bytes) / 1e6, 1),
-                    TextTable::Fmt(matrix_ms, 1),
-                    TextTable::Fmt(static_cast<double>(matrix_bytes) / 1e6, 1)});
+                    TextTable::Fmt(static_cast<double>(counts_bytes) / 1e6, 1)});
     }
     table.Print();
-    bench::Note("The footnote-2 SparseVector engine now answers its ~log|X|"
-                " radius queries from the t-NN count rows; the quadratic"
-                " matrix survives only as this bench's reference column.");
+    bench::Note("The footnote-2 SparseVector engine answers its ~log|X|"
+                " radius queries from these t-NN count rows; the bytes column"
+                " is the structure's whole allocation.");
   }
 
   bench::Banner("Runtime scaling, d sweep (n=2048, |X|=2^12)");
   {
+    Rng rng(441);
     TextTable table(kHeader);
     // Larger d needs a larger budget for the per-axis histograms; this sweep
     // is about runtime, so give it eps=32.
@@ -849,6 +857,7 @@ int main(int argc, char** argv) {
 
   bench::Banner("Runtime scaling, |X| sweep (n=2048, d=2)");
   {
+    Rng rng(541);
     TextTable table(kHeader);
     for (int lx : {8, 12, 16, 20}) {
       ConfigOptions cfg;
@@ -881,13 +890,16 @@ int main(int argc, char** argv) {
     for (int lg : {17, 18, 19, 20}) {
       const std::size_t n = std::size_t{1} << lg;
       Rng data_rng(47);
-      PlantedClusterSpec spec;
+      ScenarioSpec spec;
       spec.n = n;
-      spec.t = n / 16;
+      spec.cluster_fraction = 0.0625;  // t = n / 16
       spec.dim = 2;
       spec.levels = 1u << 12;
       spec.cluster_radius = 0.01;
-      const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+      const Result<ScenarioInstance> generated =
+          GenerateScenario(data_rng, spec);
+      if (!generated.ok()) continue;
+      const ScenarioInstance& w = *generated;
 
       CoresetOptions copts;
       copts.enabled = true;

@@ -27,6 +27,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -40,7 +41,6 @@
 #include "dpcluster/service/json.h"
 #include "dpcluster/service/protocol.h"
 #include "dpcluster/service/service.h"
-#include "dpcluster/workload/synthetic.h"
 
 namespace dpcluster {
 namespace {
@@ -52,32 +52,38 @@ std::vector<std::string> ClientBodies(std::uint64_t client) {
   Rng rng(1000 + client);
   std::vector<std::string> bodies;
 
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = 512;
-  spec.t = 192;
+  spec.cluster_fraction = 0.375;  // t = 192
   spec.dim = 2;
   spec.levels = 1u << 10;
   spec.cluster_radius = 0.02;
-  const ClusterWorkload cluster = MakePlantedCluster(rng, spec);
+  const Result<ScenarioInstance> cluster = GenerateScenario(rng, spec);
   // interior_point solves 1-cluster on a middle sub-database of n/2 points;
   // it needs the larger 1-d instance to stay reliably answerable at eps=8.
-  PlantedClusterSpec line;
+  ScenarioSpec line;
   line.n = 1200;
-  line.t = 700;
+  line.cluster_fraction = 700.0 / 1200;  // t = 700
   line.dim = 1;
   line.levels = 1u << 10;
   line.cluster_radius = 0.015;
-  const ClusterWorkload interior = MakePlantedCluster(rng, line);
+  const Result<ScenarioInstance> interior = GenerateScenario(rng, line);
   // exp_mech_baseline enumerates all |X|^d grid centers; keep it under the
   // documented center cap with a coarse 2-d universe.
-  PlantedClusterSpec coarse = spec;
+  ScenarioSpec coarse = spec;
   coarse.levels = 1u << 5;
-  const ClusterWorkload coarse2d = MakePlantedCluster(rng, coarse);
+  const Result<ScenarioInstance> coarse2d = GenerateScenario(rng, coarse);
 
   const std::string tenant = "tenant" + std::to_string(client);
-  const auto encode = [&](const ClusterWorkload& w,
+  const auto encode = [&](const Result<ScenarioInstance>& generated,
                           const std::string& algorithm,
                           const std::string& dataset_suffix) {
+    if (!generated.ok()) {
+      std::fprintf(stderr, "bench_service: %s\n",
+                   generated.status().ToString().c_str());
+      std::exit(1);
+    }
+    const ScenarioInstance& w = *generated;
     WireRequest wire;
     wire.tenant = tenant;
     wire.dataset = tenant + "/" + dataset_suffix;

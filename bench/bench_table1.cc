@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "dpcluster/workload/synthetic.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/workload/table.h"
 
 namespace dpcluster {
@@ -37,7 +37,7 @@ struct Row {
   std::string note;
 };
 
-Request BaseRequest(const ClusterWorkload& w) {
+Request BaseRequest(const ScenarioInstance& w) {
   Request request;
   request.data = w.points;
   request.domain = w.domain;
@@ -47,7 +47,7 @@ Request BaseRequest(const ClusterWorkload& w) {
   return request;
 }
 
-void RunRows(const ClusterWorkload& w, const std::vector<Row>& rows,
+void RunRows(const ScenarioInstance& w, const std::vector<Row>& rows,
              std::uint64_t seed) {
   Solver solver(SolverOptions{.seed = seed});
   TextTable table({"method", "Delta (t-captured)", "w (effective)", "time ms",
@@ -72,20 +72,24 @@ void RunRows(const ClusterWorkload& w, const std::vector<Row>& rows,
               solver.TotalSpend().ToString().c_str());
 }
 
-void ScenarioA() {
+bool ScenarioA() {
   bench::Banner(
       "Table 1 / Scenario A: d=1, |X|=2^14, n=2048, minority cluster t=n/4, "
       "eps=2");
   Rng rng(1001);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = 2048;
-  spec.t = 512;
+  spec.cluster_fraction = 0.25;  // t = 512
   spec.dim = 1;
   spec.levels = 1u << 14;
   spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  const auto w = GenerateScenario(rng, spec);
+  if (!w.ok()) {
+    std::fprintf(stderr, "error: %s\n", w.status().ToString().c_str());
+    return false;
+  }
 
-  RunRows(w,
+  RunRows(*w,
           {
               {"non-private exact", "nonprivate", "reference"},
               {"private aggregation [16]", "noisy_mean_baseline",
@@ -97,16 +101,24 @@ void ScenarioA() {
               {"this work (Thm 3.2)", "one_cluster", ""},
           },
           1001);
+  return true;
 }
 
-void ScenarioB() {
+bool ScenarioB() {
   bench::Banner(
       "Table 1 / Scenario B: d=2, |X|=2^14 per axis, n=4096, two 30% "
       "clusters (no majority), eps=2");
   Rng rng(2002);
-  const ClusterWorkload w = MakeTwoClusters(rng, 4096, 2, 1u << 14, 0.01, 0.3);
+  const auto w = GenerateScenario(
+      rng, {.scenario = "near_tie", .n = 4096, .levels = 1u << 14,
+            .cluster_radius = 0.01, .cluster_fraction = 0.3,
+            .tie_margin = 0.0});
+  if (!w.ok()) {
+    std::fprintf(stderr, "error: %s\n", w.status().ToString().c_str());
+    return false;
+  }
 
-  RunRows(w,
+  RunRows(*w,
           {
               {"non-private 2-approx", "nonprivate", "reference"},
               {"private aggregation [16]", "noisy_mean_baseline",
@@ -120,13 +132,12 @@ void ScenarioB() {
       "\nworks for majority clusters; [14] achieves w ~ 1 but is shut out as"
       "\nsoon as |X|^d grows; threshold release handles d=1 only; this work"
       "\nanswers every scenario with small Delta and moderate w.");
+  return true;
 }
 
 }  // namespace
 }  // namespace dpcluster
 
 int main() {
-  dpcluster::ScenarioA();
-  dpcluster::ScenarioB();
-  return 0;
+  return dpcluster::ScenarioA() && dpcluster::ScenarioB() ? 0 : 1;
 }

@@ -16,11 +16,11 @@
 
 #include "bench_util.h"
 #include "dpcluster/core/good_radius.h"
+#include "dpcluster/core/one_cluster.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/minimal_ball.h"
 #include "dpcluster/la/vector_ops.h"
-#include "dpcluster/core/one_cluster.h"
 #include "dpcluster/workload/metrics.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 
 namespace dpcluster {
@@ -38,19 +38,24 @@ struct Outcome {
 };
 
 Outcome RunConfig(Rng& rng, double eps, std::uint64_t levels) {
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = 2048;
-  spec.t = 1024;
+  spec.cluster_fraction = 0.5;  // t = 1024
   spec.dim = 2;
   spec.levels = levels;
   spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  Outcome out;
+  const auto generated = GenerateScenario(rng, spec);
+  if (!generated.ok()) {
+    out.note = generated.status().ToString().substr(0, 40);
+    return out;
+  }
+  const ScenarioInstance& w = *generated;
 
   OneClusterOptions options;
   options.params = {eps, 1e-9};
   options.beta = 0.1;
 
-  Outcome out;
   GoodRadiusOptions radius_opts = options.radius;
   radius_opts.params = options.params.Fraction(options.radius_budget_fraction);
   radius_opts.beta = options.beta / 2.0;
@@ -68,7 +73,7 @@ Outcome RunConfig(Rng& rng, double eps, std::uint64_t levels) {
     const double captured = static_cast<double>(
         CountWithin(w.points, result->ball.center, 6.0 * *r_opt));
     out.delta += std::max(0.0, static_cast<double>(w.t) - captured);
-    out.displacement += Distance(result->ball.center, w.planted.center) / *r_opt;
+    out.displacement += Distance(result->ball.center, w.primary().center) / *r_opt;
     ++ok;
   }
   if (ok > 0) {

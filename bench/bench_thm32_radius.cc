@@ -14,8 +14,8 @@
 
 #include "bench_util.h"
 #include "dpcluster/core/one_cluster.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/workload/metrics.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 
 namespace dpcluster {
@@ -25,13 +25,18 @@ constexpr int kTrials = 3;
 
 void RunConfig(TextTable& table, Rng& rng, std::size_t n, std::size_t d,
                double eps, double t_fraction) {
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = n;
-  spec.t = static_cast<std::size_t>(t_fraction * static_cast<double>(n));
+  spec.cluster_fraction = t_fraction;
   spec.dim = d;
   spec.levels = 1u << 12;
   spec.cluster_radius = 0.01;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  const auto generated = GenerateScenario(rng, spec);
+  if (!generated.ok()) {
+    std::fprintf(stderr, "error: %s\n", generated.status().ToString().c_str());
+    return;
+  }
+  const ScenarioInstance& w = *generated;
 
   OneClusterOptions options;
   options.params = {eps, 1e-9};

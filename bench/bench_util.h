@@ -23,7 +23,7 @@ namespace bench {
 
 /// One measured operation for the machine-readable perf log.
 struct BenchRecord {
-  std::string op;      ///< Operation name, e.g. "PairwiseDistances::Compute".
+  std::string op;      ///< Operation name, e.g. "JlTransform::ApplyAll".
   std::size_t n = 0;   ///< Input rows.
   std::size_t d = 0;   ///< Input dimension.
   std::size_t threads = 1;
@@ -47,7 +47,7 @@ class JsonReporter {
   /// write wins — and sorted by that key, so re-measured configurations never
   /// pile up as duplicate rows and baseline diffs stay clean. Records with a
   /// measured allocation carry an extra "bytes" column (e.g. the SparseVector
-  /// engine's count structure, pinning the n x n matrix removal). Returns
+  /// engine's count structure). Returns
   /// false (and prints to stderr) on IO failure.
   bool Write() const {
     std::map<std::tuple<std::string, std::size_t, std::size_t, std::size_t>,

@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "dpcluster/api/solver.h"
-#include "dpcluster/workload/synthetic.h"
+#include "dpcluster/data/registry.h"
 
 int main() {
   using namespace dpcluster;
@@ -21,13 +21,18 @@ int main() {
   // A reproducible data source: 4096 points in [0,1]^2, of which t=2000 lie
   // in a planted ball of radius 0.015 (the "small cluster" we want to find).
   Rng rng(2016);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = 4096;
-  spec.t = 2000;
+  spec.cluster_fraction = 2000.0 / 4096;  // t = 2000
   spec.dim = 2;
   spec.levels = 1u << 16;  // |X| = 65536 grid levels per axis.
   spec.cluster_radius = 0.015;
-  const ClusterWorkload workload = MakePlantedCluster(rng, spec);
+  const auto generated = GenerateScenario(rng, spec);
+  if (!generated.ok()) {
+    std::printf("Scenario failed: %s\n", generated.status().ToString().c_str());
+    return 1;
+  }
+  const ScenarioInstance& workload = *generated;
 
   // The typed request: which algorithm, on what data, with what budget.
   Request request;
@@ -51,8 +56,8 @@ int main() {
 
   std::printf("\nReleased center: (%.4f, %.4f)\n", response->ball.center[0],
               response->ball.center[1]);
-  std::printf("Planted  center: (%.4f, %.4f)\n", workload.planted.center[0],
-              workload.planted.center[1]);
+  std::printf("Planted  center: (%.4f, %.4f)\n", workload.primary().center[0],
+              workload.primary().center[1]);
   std::printf("Guarantee radius (O(sqrt(log n)) * r): %.4f\n",
               response->ball.radius);
   std::printf("%s\n", response->note.c_str());

@@ -163,8 +163,7 @@ Result<GoodRadiusResult> RunSparseVectorEngine(Rng& rng, const PointSet* s,
   const double eps = options.params.epsilon;
   const double beta = options.beta;
   // The ~log|X| capped counts of the binary search come from per-point t-NN
-  // rows (O(n t) memory) — the n x n PairwiseDistances matrix this engine
-  // used to materialize is gone.
+  // rows (O(n t) memory).
   Result<KnnCappedCounts> built = Status::Internal("unset");
   const KnnCappedCounts* counts_ptr = nullptr;
   if (index != nullptr && options.shared_counts != nullptr) {

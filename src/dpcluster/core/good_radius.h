@@ -48,8 +48,8 @@ struct GoodRadiusOptions {
   /// ~O(n t) at low dimension), or exact (the all-pairs O(n^2 d) sweep). Released outputs are bit-identical for every choice — the
   /// pruning is lossless (see core/radius_profile.h); only the runtime
   /// moves. The kSparseVector engine answers its radius counts from
-  /// per-point t-NN rows (geo/KnnCappedCounts, O(n t) memory — it never
-  /// materializes the n x n PairwiseDistances matrix) and ignores this knob.
+  /// per-point t-NN rows (geo/KnnCappedCounts, O(n t) memory) and ignores
+  /// this knob.
   ProfileIndex profile_index = ProfileIndex::kAuto;
   /// Borrowed caller-maintained t-NN rows for the kSparseVector engine on
   /// the IndexedDataset entry point: when set, the engine answers its radius
@@ -63,7 +63,7 @@ struct GoodRadiusOptions {
   /// entry point and the kRecConcave engine. Not owned.
   const KnnCappedCounts* shared_counts = nullptr;
   /// Worker threads for the deterministic numeric passes (the O(n^2 d)
-  /// profile / pairwise builds). 0 = one per hardware thread, 1 = serial.
+  /// profile and t-NN row builds). 0 = one per hardware thread, 1 = serial.
   /// Released outputs are bit-identical at any setting: threads never touch
   /// the Rng, and the work decomposition is independent of the thread count.
   std::size_t num_threads = 1;

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "dpcluster/geo/dataset.h"
-#include "dpcluster/geo/pairwise.h"
 #include "dpcluster/geo/spatial_grid.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
@@ -181,35 +180,65 @@ TEST(IndexedDatasetTest, RemoveWithinMatchesBallContains) {
   EXPECT_EQ(index.RemoveWithin(ball), 0u);
 }
 
-// KnnCappedCounts must agree with the PairwiseDistances matrix it replaces:
-// identical CappedTopAverage at every queried radius (the two backends narrow
-// their distances to float with the same inclusive rounding).
-TEST(KnnCappedCountsTest, CappedTopAverageMatchesPairwiseMatrix) {
+// KnnCappedCounts must agree with the plain all-pairs reference: identical
+// CappedTopAverage at every queried radius, on grid-snapped points and on raw
+// unit-cube points whose coordinates are not exactly representable on any
+// grid.
+TEST(KnnCappedCountsTest, CappedTopAverageMatchesReference) {
   std::uint64_t seed = 40;
-  for (const auto& [n, dim] : std::vector<std::pair<std::size_t, std::size_t>>{
-           {60, 1}, {120, 2}, {90, 5}}) {
-    Rng rng(++seed);
-    const GridDomain domain(1u << 8, dim);
-    PointSet s = testing_util::UniformCube(rng, n, dim);
-    domain.SnapAll(s);
-    ASSERT_OK_AND_ASSIGN(PairwiseDistances matrix,
-                         PairwiseDistances::Compute(s, n));
-    ASSERT_OK_AND_ASSIGN(IndexedDataset index,
-                         IndexedDataset::Create(s, domain));
-    for (const std::size_t t : {std::size_t{1}, std::size_t{2}, n / 8, n / 2}) {
-      ASSERT_OK_AND_ASSIGN(KnnCappedCounts counts,
-                           KnnCappedCounts::Build(index, t, n));
-      for (std::uint64_t g = 0; g < domain.RadiusGridSize(); g += 97) {
-        const double r = domain.RadiusFromIndex(g);
-        EXPECT_EQ(counts.CappedTopAverage(r, t), matrix.CappedTopAverage(r, t))
-            << "n=" << n << " d=" << dim << " t=" << t << " g=" << g;
+  for (const bool snapped : {true, false}) {
+    for (const auto& [n, dim] :
+         std::vector<std::pair<std::size_t, std::size_t>>{
+             {60, 1}, {120, 2}, {90, 5}}) {
+      Rng rng(++seed);
+      const GridDomain domain(1u << 8, dim);
+      PointSet s = testing_util::UniformCube(rng, n, dim);
+      if (snapped) domain.SnapAll(s);
+      const testing_util::ReferenceCappedCounts reference(s);
+      ASSERT_OK_AND_ASSIGN(IndexedDataset index,
+                           IndexedDataset::Create(s, domain));
+      for (const std::size_t t :
+           {std::size_t{1}, std::size_t{2}, n / 8, n / 2}) {
+        ASSERT_OK_AND_ASSIGN(KnnCappedCounts counts,
+                             KnnCappedCounts::Build(index, t, n));
+        for (std::uint64_t g = 0; g < domain.RadiusGridSize(); g += 97) {
+          const double r = domain.RadiusFromIndex(g);
+          EXPECT_EQ(counts.CappedTopAverage(r, t),
+                    reference.CappedTopAverage(r, t))
+              << "snapped=" << snapped << " n=" << n << " d=" << dim
+              << " t=" << t << " g=" << g;
+        }
       }
     }
   }
 }
 
+TEST(BranchlessUpperBoundTest, MatchesStdUpperBound) {
+  Rng rng(99);
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t n = rng.NextUint64(40);
+    std::vector<float> row(n);
+    for (float& v : row) v = static_cast<float>(rng.NextDouble());
+    std::sort(row.begin(), row.end());
+    for (int q = 0; q < 20; ++q) {
+      const float bound = static_cast<float>(rng.NextDouble() * 1.2 - 0.1);
+      const auto expected = static_cast<std::size_t>(
+          std::upper_bound(row.begin(), row.end(), bound) - row.begin());
+      EXPECT_EQ(BranchlessUpperBound(row, bound), expected)
+          << "n=" << n << " bound=" << bound;
+    }
+    // Exact-element bounds exercise the <= edge.
+    for (const float v : row) {
+      const auto expected = static_cast<std::size_t>(
+          std::upper_bound(row.begin(), row.end(), v) - row.begin());
+      EXPECT_EQ(BranchlessUpperBound(row, v), expected);
+    }
+  }
+  EXPECT_EQ(BranchlessUpperBound({}, 1.0f), 0u);
+}
+
 TEST(KnnCappedCountsTest, CountsSaturateAndIncludeDuplicates) {
-  // Five duplicates and one far point, as in the pairwise tests.
+  // Five duplicates and one far point.
   const GridDomain domain(16, 1);
   const PointSet s = MakePointSet(1, {0.5, 0.5, 0.5, 0.5, 0.5, 1.0});
   ASSERT_OK_AND_ASSIGN(IndexedDataset index, IndexedDataset::Create(s, domain));
@@ -235,23 +264,20 @@ TEST(KnnCappedCountsTest, RespectsMaxPointsCap) {
   EXPECT_OK(KnnCappedCounts::Build(index, 20, 100).status());
 }
 
-// After deletions, the capped counts must equal a PairwiseDistances matrix
-// built over the surviving points — the contract KCluster's SparseVector
-// rounds rely on.
-TEST(KnnCappedCountsTest, AgreesWithMatrixAfterRemoval) {
+// After deletions, the capped counts must equal the all-pairs reference over
+// the surviving points — the contract KCluster's SparseVector rounds rely on.
+TEST(KnnCappedCountsTest, AgreesWithReferenceAfterRemoval) {
   Rng rng(9);
   IndexedDataset index = MakeIndexed(rng, 140, 2);
   index.Remove(EveryThird(140));
-  const PointSet view = index.ActiveView();
   const std::size_t m = index.active_size();
-  ASSERT_OK_AND_ASSIGN(PairwiseDistances matrix,
-                       PairwiseDistances::Compute(view, m));
+  const testing_util::ReferenceCappedCounts reference(index.ActiveView());
   const std::size_t t = m / 6;
   ASSERT_OK_AND_ASSIGN(KnnCappedCounts counts,
                        KnnCappedCounts::Build(index, t, m));
   for (std::uint64_t g = 0; g < index.domain().RadiusGridSize(); g += 61) {
     const double r = index.domain().RadiusFromIndex(g);
-    EXPECT_EQ(counts.CappedTopAverage(r, t), matrix.CappedTopAverage(r, t))
+    EXPECT_EQ(counts.CappedTopAverage(r, t), reference.CappedTopAverage(r, t))
         << "g=" << g;
   }
 }

@@ -7,9 +7,9 @@
 #include <vector>
 
 #include "dpcluster/core/good_center.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/ball.h"
 #include "dpcluster/la/vector_ops.h"
-#include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -63,13 +63,13 @@ class GoodCenterDimTest : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(GoodCenterDimTest, CenterLandsNearPlantedCluster) {
   const std::size_t d = GetParam();
   Rng rng(100 + d);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.dim = d;
   spec.levels = 1u << 16;
   spec.cluster_radius = 0.02;
   spec.n = d >= 8 ? 6000 : 2500;
-  spec.t = d >= 8 ? 4000 : 1200;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  spec.cluster_fraction = d >= 8 ? 4000.0 / 6000 : 0.48;  // t = 4000 or 1200
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, GenerateScenario(rng, spec));
 
   const GoodCenterOptions options = TestOptions(4.0);
   int near = 0;
@@ -98,12 +98,12 @@ INSTANTIATE_TEST_SUITE_P(Dims, GoodCenterDimTest,
 
 TEST(GoodCenterTest, DiagnosticsAreConsistent) {
   Rng rng(5);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.dim = 2;
   spec.n = 2000;
-  spec.t = 1000;
+  spec.cluster_fraction = 0.5;  // t = 1000
   spec.cluster_radius = 0.02;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, GenerateScenario(rng, spec));
   ASSERT_OK_AND_ASSIGN(GoodCenterResult result,
                        GoodCenter(rng, w.points, w.t, 0.02, TestOptions(4.0)));
   // The noisy box count should be near t (the cluster fits in one box).
@@ -130,11 +130,11 @@ TEST(GoodCenterTest, OverlyTightRadiusTimesOutOrFails) {
 
 TEST(GoodCenterTest, RespectsMaxJlDimCap) {
   Rng rng(7);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.dim = 4;
   spec.n = 1500;
-  spec.t = 900;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  spec.cluster_fraction = 0.6;  // t = 900
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, GenerateScenario(rng, spec));
   GoodCenterOptions options = TestOptions(4.0);
   options.max_jl_dim = 6;
   ASSERT_OK_AND_ASSIGN(GoodCenterResult result,

@@ -8,10 +8,10 @@
 #include <vector>
 
 #include "dpcluster/core/good_radius.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/ball.h"
 #include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/minimal_ball.h"
-#include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -60,18 +60,18 @@ class GoodRadiusEngineTest
 
 TEST_P(GoodRadiusEngineTest, FindsRadiusNearOptimalOnPlantedCluster) {
   Rng rng(7);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = 700;
-  spec.t = 320;
+  spec.cluster_fraction = 320.0 / 700;
   spec.dim = 2;
   spec.levels = 1024;
   spec.cluster_radius = 0.04;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, GenerateScenario(rng, spec));
 
   GoodRadiusOptions options = TestOptions(2.0);
   options.engine = GetParam();
   const double gamma = GoodRadiusGamma(w.domain, options);
-  ASSERT_LT(4.0 * gamma, static_cast<double>(spec.t))
+  ASSERT_LT(4.0 * gamma, static_cast<double>(w.t))
       << "test parameters must satisfy t > 4*Gamma (gamma=" << gamma << ")";
 
   int radius_ok = 0;
@@ -124,18 +124,18 @@ TEST(GoodRadiusTest, PaperStructureRecursionStillWorks) {
   // base_domain_size 32 forces the log*-style recursion; utility is looser
   // (bigger Gamma) but the radius bound must still hold.
   Rng rng(9);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = 900;
-  spec.t = 700;  // Large t to clear the bigger Gamma.
+  spec.cluster_fraction = 700.0 / 900;  // Large t to clear the bigger Gamma.
   spec.dim = 2;
   spec.levels = 256;
   spec.cluster_radius = 0.05;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w, GenerateScenario(rng, spec));
 
   GoodRadiusOptions options = TestOptions(8.0);
   options.rec_concave.base_domain_size = 32;
   const double gamma = GoodRadiusGamma(w.domain, options);
-  ASSERT_LT(4.0 * gamma, static_cast<double>(spec.t));
+  ASSERT_LT(4.0 * gamma, static_cast<double>(w.t));
   ASSERT_OK_AND_ASSIGN(GoodRadiusResult result,
                        GoodRadius(rng, w.points, w.t, w.domain, options));
   ASSERT_OK_AND_ASSIGN(Ball two, TwoApproxSmallestBall(w.points, w.t));
@@ -169,13 +169,14 @@ TEST(GoodRadiusTest, ValidatesSubsampleGridCapFactor) {
 // engines and both event generators.
 TEST(GoodRadiusTest, IndexOverloadBitIdenticalToPointSet) {
   Rng data_rng(11);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = 600;
-  spec.t = 150;
+  spec.cluster_fraction = 0.25;  // t = 150
   spec.dim = 2;
   spec.levels = 1u << 10;
   spec.cluster_radius = 0.03;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w,
+                       GenerateScenario(data_rng, spec));
 
   ASSERT_OK_AND_ASSIGN(IndexedDataset index,
                        IndexedDataset::Create(w.points, w.domain));
@@ -220,13 +221,15 @@ TEST(GoodRadiusTest, IndexOverloadBitIdenticalToPointSet) {
 // run — only the cap moved, no rows were dropped.
 TEST(GoodRadiusTest, RaisedSubsampleCapKeepsAllRowsWhenGridProfileIsCheap) {
   Rng data_rng(12);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = 600;
-  spec.t = 60;  // Small t: the grid profile path is active at n=600.
+  // t = 60: small t, so the grid profile path is active at n=600.
+  spec.cluster_fraction = 0.1;
   spec.dim = 2;
   spec.levels = 1u << 10;
   spec.cluster_radius = 0.02;
-  const ClusterWorkload w = MakePlantedCluster(data_rng, spec);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance w,
+                       GenerateScenario(data_rng, spec));
 
   GoodRadiusOptions raised = TestOptions(4.0);
   raised.max_profile_points = 128;  // Below n: subsampling would trigger.

@@ -57,7 +57,7 @@ TEST(JlTransformTest, NormPreservedInExpectation) {
 // DimensionFor, all pairwise distances of a point cloud stay within 1 +- eta.
 class JlDistortionTest : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(JlDistortionTest, PairwiseDistancesPreserved) {
+TEST_P(JlDistortionTest, AllPairDistancesPreserved) {
   const std::size_t d = GetParam();
   Rng rng(100 + d);
   const std::size_t n = 24;

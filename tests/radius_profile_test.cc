@@ -13,7 +13,6 @@
 #include "dpcluster/core/radius_profile.h"
 #include "dpcluster/data/registry.h"
 #include "dpcluster/geo/dataset.h"
-#include "dpcluster/geo/pairwise.h"
 #include "dpcluster/geo/spatial_grid.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
@@ -46,15 +45,16 @@ TEST(RadiusProfileTest, MatchesDirectEvaluation) {
     const std::size_t t = 1 + rng.NextUint64(29);
     ASSERT_OK_AND_ASSIGN(RadiusProfile profile,
                          RadiusProfile::Build(s, t, domain, 100));
-    ASSERT_OK_AND_ASSIGN(PairwiseDistances pd, PairwiseDistances::Compute(s, 100));
+    const testing_util::ReferenceCappedCounts reference(s);
     // Check agreement at every solution-grid radius.
     for (std::uint64_t g = 0; g < domain.RadiusGridSize(); g += 7) {
       const double r = domain.RadiusFromIndex(g);
-      EXPECT_NEAR(profile.LAtSolutionIndex(g), pd.CappedTopAverage(r, t), 1e-9)
+      EXPECT_NEAR(profile.LAtSolutionIndex(g),
+                  reference.CappedTopAverage(r, t), 1e-9)
           << "g=" << g << " t=" << t;
       // And at half radii (used by the quality's first term).
       EXPECT_NEAR(profile.LAtHalfSolutionIndex(g),
-                  pd.CappedTopAverage(r / 2.0, t), 1e-9);
+                  reference.CappedTopAverage(r / 2.0, t), 1e-9);
     }
   }
 }
@@ -109,10 +109,19 @@ TEST(RadiusProfileTest, SensitivityAtMostTwoUnderReplacement) {
 
     ASSERT_OK_AND_ASSIGN(RadiusProfile p0, RadiusProfile::Build(s, t, domain, 100));
     ASSERT_OK_AND_ASSIGN(RadiusProfile p1, RadiusProfile::Build(s2, t, domain, 100));
+    // The SparseVector engine's L: the same bound on the t-NN count rows.
+    ASSERT_OK_AND_ASSIGN(IndexedDataset i0, IndexedDataset::Create(s, domain));
+    ASSERT_OK_AND_ASSIGN(IndexedDataset i1, IndexedDataset::Create(s2, domain));
+    ASSERT_OK_AND_ASSIGN(KnnCappedCounts c0, KnnCappedCounts::Build(i0, t, 100));
+    ASSERT_OK_AND_ASSIGN(KnnCappedCounts c1, KnnCappedCounts::Build(i1, t, 100));
     for (std::uint64_t g = 0; g < domain.RadiusGridSize(); g += 5) {
       EXPECT_LE(std::abs(p0.LAtSolutionIndex(g) - p1.LAtSolutionIndex(g)),
                 2.0 + 1e-9)
           << "g=" << g;
+      const double r = domain.RadiusFromIndex(g);
+      EXPECT_LE(std::abs(c0.CappedTopAverage(r, t) - c1.CappedTopAverage(r, t)),
+                2.0 + 1e-9)
+          << "knn g=" << g;
     }
   }
 }
@@ -250,15 +259,14 @@ PointSet LatticePoints(Rng& rng, std::size_t n, std::size_t dim,
 }
 
 // At every distinct pairwise distance (0 included) the profile must equal
-// PairwiseDistances::CappedTopAverage over `expanded` (the duplicate-expanded
-// points), read at a fine index that holds that distance but not the next.
+// the all-pairs reference over `expanded` (the duplicate-expanded points),
+// read at a fine index that holds that distance but not the next.
 // The last fine index must count every pair, including pairs beyond the
 // grid's largest radius, which clamp onto it.
 void ExpectMatchesOracle(const RadiusProfile& profile,
                          const PointSet& expanded, std::size_t t,
                          const GridDomain& domain, const std::string& context) {
-  ASSERT_OK_AND_ASSIGN(PairwiseDistances pd,
-                       PairwiseDistances::Compute(expanded, expanded.size()));
+  const testing_util::ReferenceCappedCounts reference(expanded);
   std::vector<double> dists = {0.0};
   for (std::size_t i = 0; i < expanded.size(); ++i) {
     for (std::size_t j = i + 1; j < expanded.size(); ++j) {
@@ -280,13 +288,13 @@ void ExpectMatchesOracle(const RadiusProfile& profile,
     const double rg = g * fine_step;
     if (rg < dists[a] || dists[a + 1] < rg + 1e-9) continue;
     EXPECT_DOUBLE_EQ(profile.fine_l().ValueAt(static_cast<std::uint64_t>(g)),
-                     pd.CappedTopAverage(dists[a], t))
+                     reference.CappedTopAverage(dists[a], t))
         << context << " r=" << dists[a];
     ++checked;
   }
   EXPECT_GT(checked, dists.size() / 2) << context;
   EXPECT_DOUBLE_EQ(profile.fine_l().ValueAt(last),
-                   pd.CappedTopAverage(dists.back() + 1.0, t))
+                   reference.CappedTopAverage(dists.back() + 1.0, t))
       << context << " (last fine index)";
 }
 

@@ -17,6 +17,7 @@
 
 #include "dpcluster/api/algorithm.h"
 #include "dpcluster/api/registry.h"
+#include "dpcluster/data/registry.h"
 #include "dpcluster/parallel/bounded_queue.h"
 #include "dpcluster/random/rng.h"
 #include "dpcluster/service/http_client.h"
@@ -24,7 +25,6 @@
 #include "dpcluster/service/json.h"
 #include "dpcluster/service/protocol.h"
 #include "dpcluster/service/service.h"
-#include "dpcluster/workload/synthetic.h"
 #include "test_util.h"
 
 namespace dpcluster {
@@ -34,18 +34,18 @@ using std::chrono::milliseconds;
 
 /// A planted 2-d cluster every built-in under test answers reliably at
 /// eps = 8 (the bench traffic shape, seeds verified there).
-ClusterWorkload SmallWorkload(std::uint64_t seed = 7) {
+Result<ScenarioInstance> SmallWorkload(std::uint64_t seed = 7) {
   Rng rng(seed);
-  PlantedClusterSpec spec;
+  ScenarioSpec spec;
   spec.n = 512;
-  spec.t = 192;
+  spec.cluster_fraction = 0.375;  // t = 192
   spec.dim = 2;
   spec.levels = 1u << 10;
   spec.cluster_radius = 0.02;
-  return MakePlantedCluster(rng, spec);
+  return GenerateScenario(rng, spec);
 }
 
-std::string SolveBody(const ClusterWorkload& workload,
+std::string SolveBody(const ScenarioInstance& workload,
                       const std::string& algorithm, const std::string& tenant,
                       const std::string& dataset, double epsilon = 8.0,
                       std::uint64_t seed = 99) {
@@ -125,7 +125,7 @@ TEST(ServiceBudgetTest, ExhaustedTenantGets429WhileOthersSucceed) {
   ServiceOptions options;
   options.default_budget = {2.0, 1e-6};
   ClusterService service(options);
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
 
   // Tenant A's first solve fits (1.5 of 2.0) and charges the full request.
   const std::string body_a =
@@ -175,7 +175,7 @@ TEST(ServiceBudgetTest, TenantOverrideBeatsTheDefaultCap) {
   options.default_budget = {1.0, 1e-6};
   options.tenant_budgets["vip"] = {20.0, 1e-6};
   ClusterService service(options);
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   // eps = 8 overdraws the 1.0 default but fits the vip override.
   EXPECT_EQ(service
                 .Handle("POST", "/v1/solve",
@@ -193,7 +193,7 @@ TEST(ServiceBudgetTest, TenantOverrideBeatsTheDefaultCap) {
 
 TEST(ServiceCacheTest, RepeatSolvesOnOneDatasetHitTheIndexCache) {
   ClusterService service(UnmeteredOptions());
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   const std::string body =
       SolveBody(workload, "one_cluster", "public", "cache/me");
   ASSERT_EQ(service.Handle("POST", "/v1/solve", body).http_status, 200);
@@ -206,7 +206,7 @@ TEST(ServiceCacheTest, RepeatSolvesOnOneDatasetHitTheIndexCache) {
 
   // Same key, different bytes: the fingerprint check replaces the entry
   // instead of serving the stale geometry.
-  const ClusterWorkload other = SmallWorkload(/*seed=*/8);
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance other, SmallWorkload(/*seed=*/8));
   ASSERT_EQ(service
                 .Handle("POST", "/v1/solve",
                         SolveBody(other, "one_cluster", "public", "cache/me"))
@@ -221,7 +221,7 @@ TEST(ServiceCacheTest, CachedAndColdRunsReleaseIdenticalAnswers) {
   // The cache must only accelerate: the first (miss) and second (hit) runs
   // of the same seeded request release byte-identical artifacts.
   ClusterService service(UnmeteredOptions());
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   const std::string body =
       SolveBody(workload, "one_cluster", "public", "det/data");
   const ServiceReply cold = service.Handle("POST", "/v1/solve", body);
@@ -281,7 +281,7 @@ std::string StreamSolveBody(const std::string& algorithm,
 
 TEST(ServiceStreamTest, AppendCreatesStreamAndSolvesDeterministically) {
   ClusterService service(UnmeteredOptions());
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
 
   const ServiceReply appended = service.Handle(
       "POST", "/v1/stream/append",
@@ -323,7 +323,7 @@ TEST(ServiceStreamTest, AppendCreatesStreamAndSolvesDeterministically) {
 
 TEST(ServiceStreamTest, ExpireBumpsVersionAndCompactionInvalidatesIds) {
   ClusterService service(UnmeteredOptions());
-  const ClusterWorkload workload = SmallWorkload();
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   const std::size_t n = workload.points.size();  // 512
   ASSERT_EQ(service
                 .Handle("POST", "/v1/stream/append",
@@ -393,8 +393,9 @@ TEST(ServiceStreamTest, MissingStreamsAreStructured404s) {
                                 StreamSolveBody("one_cluster", "ghost", 8)));
   expect_unknown(service.Handle("POST", "/v1/stream/expire",
                                 R"({"dataset": "ghost", "count": 1})"));
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   expect_unknown(service.Handle("POST", "/v1/stream/append",
-                                AppendBody("ghost", SmallWorkload().points)));
+                                AppendBody("ghost", workload.points)));
 }
 
 // --- Live HTTP server -----------------------------------------------------
@@ -410,8 +411,9 @@ TEST(HttpServerTest, ServesSolvesOverLoopbackDeterministically) {
                        HttpGet(server.port(), "/healthz"));
   EXPECT_EQ(health.status, 200);
 
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   const std::string body =
-      SolveBody(SmallWorkload(), "one_cluster", "net", "net/data");
+      SolveBody(workload, "one_cluster", "net", "net/data");
   ASSERT_OK_AND_ASSIGN(const HttpResponse first,
                        HttpPost(server.port(), "/v1/solve", body));
   ASSERT_OK_AND_ASSIGN(const HttpResponse second,
@@ -438,6 +440,7 @@ TEST(HttpServerTest, KeepAliveServesManyRequestsPerConnection) {
 
   // One socket, many requests: GETs and a full solve POST share the
   // connection, and the client never has to re-dial.
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   HttpConnection connection(server.port());
   for (int i = 0; i < 8; ++i) {
     ASSERT_OK_AND_ASSIGN(const HttpResponse health,
@@ -446,8 +449,8 @@ TEST(HttpServerTest, KeepAliveServesManyRequestsPerConnection) {
   }
   ASSERT_OK_AND_ASSIGN(
       const HttpResponse solved,
-      connection.Post("/v1/solve", SolveBody(SmallWorkload(), "one_cluster",
-                                             "ka", "ka/data")));
+      connection.Post("/v1/solve",
+                      SolveBody(workload, "one_cluster", "ka", "ka/data")));
   EXPECT_EQ(solved.status, 200);
   EXPECT_EQ(connection.reconnects(), 0u);
 
@@ -492,12 +495,17 @@ TEST(HttpServerTest, ConcurrentClientsAllSucceed) {
 
   constexpr std::size_t kClients = 6;
   constexpr std::size_t kPerClient = 3;
+  std::vector<ScenarioInstance> workloads;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    ASSERT_OK_AND_ASSIGN(ScenarioInstance workload, SmallWorkload(c));
+    workloads.push_back(std::move(workload));
+  }
   std::atomic<int> ok_count{0};
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       const std::string tenant = "tenant" + std::to_string(c);
-      const std::string body = SolveBody(SmallWorkload(c), "nonprivate",
+      const std::string body = SolveBody(workloads[c], "nonprivate",
                                          tenant, tenant + "/data", 8.0,
                                          /*seed=*/100 + c);
       for (std::size_t i = 0; i < kPerClient; ++i) {
@@ -587,6 +595,7 @@ TEST(HttpServerTest, FullAdmissionQueueShedsWith503QueueFull) {
 // --- Graceful shutdown ----------------------------------------------------
 
 TEST(HttpServerTest, RemoteShutdownDrainsAndStops) {
+  ASSERT_OK_AND_ASSIGN(const ScenarioInstance workload, SmallWorkload());
   ClusterService service;
   HttpServer server(&service, HttpServerOptions{});
   ASSERT_OK(server.Start());
@@ -603,7 +612,7 @@ TEST(HttpServerTest, RemoteShutdownDrainsAndStops) {
   // drain window is exercised at the service seam).
   const ServiceReply refused = service.Handle(
       "POST", "/v1/solve",
-      SolveBody(SmallWorkload(), "nonprivate", "late", "d"));
+      SolveBody(workload, "nonprivate", "late", "d"));
   EXPECT_EQ(refused.http_status, 503);
   EXPECT_EQ(MustParse(refused.body).Find("error")->Find("code")->AsString(),
             "ShuttingDown");

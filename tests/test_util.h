@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "dpcluster/common/status.h"
+#include "dpcluster/geo/dataset.h"
 #include "dpcluster/geo/point_set.h"
+#include "dpcluster/la/vector_ops.h"
 #include "dpcluster/random/rng.h"
 
 #define ASSERT_OK(expr) ASSERT_TRUE((expr).ok()) << (expr).ToString()
@@ -41,6 +46,43 @@ inline PointSet UniformCube(Rng& rng, std::size_t n, std::size_t dim) {
   }
   return s;
 }
+
+/// Plain O(n^2) reference for GoodRadius's capped average (Algorithm 1)
+///   L(r, S) = (1/cap) * sum of the cap largest min(B_r(x_i, S), cap),
+/// B_r counting every point within r of x_i (itself included). Each row holds
+/// a point's distances to all n points from la Distance, narrowed to float
+/// with the library's inclusive one-ulp rounding (BumpDistanceUp) and sorted
+/// ascending, so a radius resolves exactly as in KnnCappedCounts.
+class ReferenceCappedCounts {
+ public:
+  explicit ReferenceCappedCounts(const PointSet& s) : rows_(s.size()) {
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      for (std::size_t j = 0; j < s.size(); ++j) {
+        rows_[i].push_back(
+            BumpDistanceUp(static_cast<float>(Distance(s[i], s[j]))));
+      }
+      std::sort(rows_[i].begin(), rows_[i].end());
+    }
+  }
+
+  double CappedTopAverage(double r, std::size_t cap) const {
+    const float bound = std::nextafter(static_cast<float>(r),
+                                       std::numeric_limits<float>::infinity());
+    std::vector<std::size_t> counts;
+    for (const std::vector<float>& row : rows_) {
+      const auto within = static_cast<std::size_t>(
+          std::upper_bound(row.begin(), row.end(), bound) - row.begin());
+      counts.push_back(r < 0.0 ? 0 : std::min(within, cap));
+    }
+    std::sort(counts.rbegin(), counts.rend());
+    double sum = 0.0;
+    for (std::size_t i = 0; i < cap; ++i) sum += static_cast<double>(counts[i]);
+    return sum / static_cast<double>(cap);
+  }
+
+ private:
+  std::vector<std::vector<float>> rows_;
+};
 
 /// Sample mean of a scalar callback over `trials` evaluations.
 template <typename F>

@@ -1,91 +1,14 @@
-// Tests for the synthetic workload generators, metrics, and table printer.
+// Tests for the workload metrics and table printer.
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "dpcluster/geo/ball.h"
 #include "dpcluster/workload/metrics.h"
-#include "dpcluster/workload/synthetic.h"
 #include "dpcluster/workload/table.h"
 #include "test_util.h"
 
 namespace dpcluster {
 namespace {
-
-TEST(SyntheticTest, PlantedClusterHoldsTPoints) {
-  Rng rng(1);
-  PlantedClusterSpec spec;
-  spec.n = 1000;
-  spec.t = 400;
-  spec.dim = 3;
-  spec.cluster_radius = 0.05;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
-  EXPECT_EQ(w.points.size(), 1000u);
-  EXPECT_EQ(w.t, 400u);
-  // Snapping can push points a hair outside; allow half a grid diagonal.
-  Ball slightly = w.planted;
-  slightly.radius += w.domain.step() * std::sqrt(3.0);
-  EXPECT_GE(CountInBall(w.points, slightly), w.t);
-}
-
-TEST(SyntheticTest, PointsAreOnGrid) {
-  Rng rng(2);
-  PlantedClusterSpec spec;
-  spec.n = 200;
-  spec.t = 50;
-  spec.dim = 2;
-  spec.levels = 128;
-  const ClusterWorkload w = MakePlantedCluster(rng, spec);
-  for (std::size_t i = 0; i < w.points.size(); ++i) {
-    for (std::size_t j = 0; j < 2; ++j) {
-      EXPECT_TRUE(w.domain.OnGrid(w.points[i][j]));
-    }
-  }
-}
-
-TEST(SyntheticTest, TwoClustersAreBothPopulated) {
-  Rng rng(3);
-  const ClusterWorkload w = MakeTwoClusters(rng, 1000, 2, 512, 0.04, 0.3);
-  ASSERT_EQ(w.all_planted.size(), 2u);
-  for (const Ball& planted : w.all_planted) {
-    Ball slightly = planted;
-    slightly.radius += w.domain.step() * std::sqrt(2.0);
-    EXPECT_GE(CountInBall(w.points, slightly), w.t);
-  }
-}
-
-TEST(SyntheticTest, GaussianMixtureHasKClusters) {
-  Rng rng(4);
-  const ClusterWorkload w = MakeGaussianMixture(rng, 1200, 3, 2, 512, 0.02, 0.1);
-  EXPECT_EQ(w.all_planted.size(), 3u);
-  EXPECT_EQ(w.points.size(), 1200u);
-  // Each nominal 2-sigma ball should hold most of its per-cluster mass.
-  for (const Ball& planted : w.all_planted) {
-    EXPECT_GE(CountInBall(w.points, planted),
-              static_cast<std::size_t>(0.7 * static_cast<double>(w.t)));
-  }
-}
-
-TEST(SyntheticTest, OutlierContamination) {
-  Rng rng(5);
-  const ClusterWorkload w = MakeOutlierContaminated(rng, 1000, 2, 512, 0.05, 0.9);
-  Ball slightly = w.planted;
-  slightly.radius += w.domain.step() * std::sqrt(2.0);
-  const std::size_t inside = CountInBall(w.points, slightly);
-  EXPECT_GE(inside, 900u);
-  EXPECT_LT(inside, 1000u);  // Outliers exist.
-}
-
-TEST(SyntheticTest, ShellClusterAvoidsItsOwnCenter) {
-  Rng rng(6);
-  const ClusterWorkload w = MakeShellCluster(rng, 800, 500, 8, 512, 0.2);
-  // Few points near the shell's center (adversarial-for-mean workload).
-  EXPECT_LT(CountWithin(w.points, w.planted.center, 0.1), 100u);
-  Ball shell = w.planted;
-  shell.radius += w.domain.step() * std::sqrt(8.0) + 1e-9;
-  EXPECT_GE(CountInBall(w.points, shell), w.t);
-}
 
 TEST(MetricsTest, EvaluateOnHandMadeExample) {
   const PointSet s = testing_util::MakePointSet(1, {0.0, 0.1, 0.2, 0.9, 1.0});
