@@ -29,12 +29,6 @@ std::vector<double> RandomInteriorCenter(Rng& rng, std::size_t dim,
   return c;
 }
 
-std::size_t PrimaryCount(const ScenarioSpec& spec) {
-  const auto t = static_cast<std::size_t>(spec.cluster_fraction *
-                                          static_cast<double>(spec.n));
-  return std::clamp<std::size_t>(t, 1, spec.n);
-}
-
 void AddLabeled(ScenarioInstance& instance, std::span<const double> p,
                 int label) {
   instance.points.Add(p);
@@ -104,7 +98,7 @@ class PlantedClusterFamily : public ScenarioFamily {
   Result<ScenarioInstance> Generate(Rng& rng,
                                     const ScenarioSpec& spec) const override {
     ScenarioInstance instance = NewInstance(spec);
-    instance.t = PrimaryCount(spec);
+    instance.t = spec.PrimaryCount();
     Ball primary;
     primary.center = RandomInteriorCenter(rng, spec.dim, spec.cluster_radius,
                                           spec.axis_length);
@@ -281,7 +275,7 @@ class HeavyTailedFamily : public ScenarioFamily {
   Result<ScenarioInstance> Generate(Rng& rng,
                                     const ScenarioSpec& spec) const override {
     ScenarioInstance instance = NewInstance(spec);
-    instance.t = PrimaryCount(spec);
+    instance.t = spec.PrimaryCount();
     const std::vector<double> center = RandomInteriorCenter(
         rng, spec.dim, spec.cluster_radius, spec.axis_length);
 
@@ -339,7 +333,7 @@ class AxisDegenerateFamily : public ScenarioFamily {
   Result<ScenarioInstance> Generate(Rng& rng,
                                     const ScenarioSpec& spec) const override {
     ScenarioInstance instance = NewInstance(spec);
-    instance.t = PrimaryCount(spec);
+    instance.t = spec.PrimaryCount();
     Ball primary;
     primary.center = RandomInteriorCenter(rng, spec.dim, spec.cluster_radius,
                                           spec.axis_length);
@@ -395,7 +389,7 @@ class GridSnappedFamily : public ScenarioFamily {
   Result<ScenarioInstance> Generate(Rng& rng,
                                     const ScenarioSpec& spec) const override {
     ScenarioInstance instance = NewInstance(spec);
-    instance.t = PrimaryCount(spec);
+    instance.t = spec.PrimaryCount();
     const GridDomain coarse(spec.snap_levels, spec.dim, spec.axis_length);
     Ball primary;
     primary.center = RandomInteriorCenter(rng, spec.dim, spec.cluster_radius,
@@ -435,7 +429,7 @@ class AnnulusFamily : public ScenarioFamily {
   Result<ScenarioInstance> Generate(Rng& rng,
                                     const ScenarioSpec& spec) const override {
     ScenarioInstance instance = NewInstance(spec);
-    instance.t = PrimaryCount(spec);
+    instance.t = spec.PrimaryCount();
     Ball primary;
     primary.center = RandomInteriorCenter(rng, spec.dim, spec.cluster_radius,
                                           spec.axis_length);
@@ -474,7 +468,7 @@ class NearTieFamily : public ScenarioFamily {
       return Status::InvalidArgument(
           "near_tie: tie_margin must be in [0, 1)");
     }
-    if (2 * PrimaryCount(spec) > spec.n + 1) {
+    if (2 * spec.PrimaryCount() > spec.n + 1) {
       return Status::InvalidArgument(
           "near_tie: needs 2t - 1 <= n (lower cluster_fraction)");
     }
@@ -488,7 +482,7 @@ class NearTieFamily : public ScenarioFamily {
   Result<ScenarioInstance> Generate(Rng& rng,
                                     const ScenarioSpec& spec) const override {
     ScenarioInstance instance = NewInstance(spec);
-    instance.t = PrimaryCount(spec);
+    instance.t = spec.PrimaryCount();
     Ball primary;
     Ball decoy;
     // Opposite corners (as in the two-cluster workload) so no ball covers both.
@@ -531,7 +525,7 @@ class StreamingFamily : public ScenarioFamily {
   Result<ScenarioInstance> Generate(Rng& rng,
                                     const ScenarioSpec& spec) const override {
     ScenarioInstance instance = NewInstance(spec);
-    instance.t = PrimaryCount(spec);
+    instance.t = spec.PrimaryCount();
     const std::size_t ticks = spec.ticks;
     const std::size_t window = std::max<std::size_t>(1, ticks / 4);
     const std::size_t background = spec.n - instance.t;

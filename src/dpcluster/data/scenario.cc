@@ -1,12 +1,24 @@
 #include "dpcluster/data/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
 #include "dpcluster/coreset/coreset.h"
 
 namespace dpcluster {
+namespace {
+
+// floor(fraction * n), except that a product within 1e-9 below an integer
+// counts as that integer: t / n as a double times n can land one ulp short
+// of t, and truncating it would plant t - 1 points.
+std::size_t RoundedClusterCount(double fraction, std::size_t n) {
+  return static_cast<std::size_t>(
+      std::floor(fraction * static_cast<double>(n) + 1e-9));
+}
+
+}  // namespace
 
 Status ScenarioSpec::Validate() const {
   if (n == 0) return Status::InvalidArgument("ScenarioSpec: n must be >= 1");
@@ -26,11 +38,16 @@ Status ScenarioSpec::Validate() const {
     return Status::InvalidArgument(
         "ScenarioSpec: cluster_fraction must be in (0, 1]");
   }
-  if (static_cast<std::size_t>(cluster_fraction * static_cast<double>(n)) == 0) {
+  if (RoundedClusterCount(cluster_fraction, n) == 0) {
     return Status::InvalidArgument(
         "ScenarioSpec: cluster_fraction * n rounds to an empty cluster");
   }
   return Status::OK();
+}
+
+std::size_t ScenarioSpec::PrimaryCount() const {
+  return std::clamp<std::size_t>(RoundedClusterCount(cluster_fraction, n), 1,
+                                 n);
 }
 
 std::size_t ScenarioInstance::LabelCount(int label) const {

@@ -73,6 +73,11 @@ struct ScenarioSpec {
 
   /// Shared-field validation; family-specific checks are in ValidateSpec.
   Status Validate() const;
+
+  /// Points planted in the primary cluster: cluster_fraction * n rounded
+  /// down, clamped to [1, n]. A product within 1e-9 below an integer rounds
+  /// up to it, so cluster_fraction = t / n yields exactly t.
+  std::size_t PrimaryCount() const;
 };
 
 /// The arrival/expiry replay schedule a streaming family records alongside

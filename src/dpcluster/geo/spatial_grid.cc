@@ -57,6 +57,37 @@ inline double RowSquaredDistance(const double* x, const double* y,
 // of up to ~128 dims stay in L1 while the chunk's queries pass over them.
 constexpr std::uint64_t kDensePanel = 32;
 
+// Queries per chunk of the blocked one-cell batch.
+constexpr std::size_t kDenseQueryGrain = 16;
+
+// Queries per seeded chain of the multi-cell batch: a chain's first query
+// runs the ring search and seeds the next one, so longer chains amortize it
+// further while 64 still leaves n/64 chains to spread across threads.
+constexpr std::size_t kSeedChainGrain = 64;
+
+// Relative slack on the seeded bound and on cell-box gaps: absorbs the float
+// rounding of distances and of cell edges, like the ring stop's haircut.
+constexpr double kBoundSlack = 1e-9;
+
+// Z-order (Morton) key of row `p`: each coordinate quantized to `bits` bits
+// over [0, axis] (clamped), bit b of axis a landing at key bit
+// b * d + (d - 1 - a) (bits * d <= 64). Points adjacent in key order are
+// mostly close in space.
+std::uint64_t MortonKey(const double* p, std::size_t d, double axis,
+                        unsigned bits) {
+  const double scale = std::ldexp(1.0, static_cast<int>(bits)) / axis;
+  const double top = std::ldexp(1.0, static_cast<int>(bits)) - 1.0;
+  std::uint64_t key = 0;
+  for (std::size_t a = 0; a < d; ++a) {
+    const auto c = static_cast<std::uint64_t>(
+        std::clamp(std::floor(p[a] * scale), 0.0, top));
+    for (unsigned b = 0; b < bits; ++b) {
+      key |= (c >> b & 1) << (b * d + (d - 1 - a));
+    }
+  }
+  return key;
+}
+
 // out[j] = RowSquaredDistance(q, point j) for the `count` points of a
 // dimension-major panel (panel[c * kDensePanel + j] is coordinate c of point
 // j; columns past `count` are padding). Every point keeps SquaredDistanceRows'
@@ -313,7 +344,7 @@ std::uint64_t SpatialGrid::CellOf(const double* p) const {
 
 void SpatialGrid::ScanCell(std::uint64_t cell,
                            std::span<const double> q,
-                           std::vector<double>& cands) const {
+                           std::vector<double>& cands, double max_sq) const {
   const double* base = data_.data();
   const double* qp = q.data();
   const std::uint64_t lo = seg_start_[cell];
@@ -327,7 +358,7 @@ void SpatialGrid::ScanCell(std::uint64_t cell,
   // that exact in-order sum, so the values still match vector_ops). At d >= 4
   // the kernel's own four in-row lanes provide the ILP instead.
   if (dim_ < 4) {
-    for (; at + 4 <= hi; at += 4, at_out += 4) {
+    for (; at + 4 <= hi; at += 4) {
       const double* x0 = base + cell_points_[at] * dim_;
       const double* x1 = base + cell_points_[at + 1] * dim_;
       const double* x2 = base + cell_points_[at + 2] * dim_;
@@ -344,16 +375,24 @@ void SpatialGrid::ScanCell(std::uint64_t cell,
         s2 += d2 * d2;
         s3 += d3 * d3;
       }
+      // Branch-free filter: every value is stored, only kept ones advance.
       out[at_out] = s0;
-      out[at_out + 1] = s1;
-      out[at_out + 2] = s2;
-      out[at_out + 3] = s3;
+      at_out += s0 <= max_sq;
+      out[at_out] = s1;
+      at_out += s1 <= max_sq;
+      out[at_out] = s2;
+      at_out += s2 <= max_sq;
+      out[at_out] = s3;
+      at_out += s3 <= max_sq;
     }
   }
-  for (; at < hi; ++at, ++at_out) {
-    out[at_out] =
+  for (; at < hi; ++at) {
+    const double sq =
         RowSquaredDistance(qp, base + cell_points_[at] * dim_, dim_);
+    out[at_out] = sq;
+    at_out += sq <= max_sq;
   }
+  cands.resize(at_out);
 }
 
 std::size_t SpatialGrid::DecodeCenter(const double* q,
@@ -530,29 +569,9 @@ void SpatialGrid::BatchKnnDistances(std::size_t k, std::span<double> out,
   DPC_CHECK_EQ(live_, n_);
   DPC_CHECK_LE(k, n_ - 1);
   DPC_CHECK_EQ(out.size(), n_ * k);
-  if (k == 0) return;
-  constexpr std::size_t kQueryGrain = 16;
-  const bool dense = cells_per_axis_ == 1;
-  ParallelForChunks(
-      pool, 0, n_, kQueryGrain,
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        Workspace scratch;
-        if (dense) {
-          std::vector<std::uint32_t> ids(hi - lo);
-          for (std::size_t i = lo; i < hi; ++i) {
-            ids[i - lo] = static_cast<std::uint32_t>(i);
-          }
-          DenseKnnChunk(ids.data(), ids.size(), k, out.data() + lo * k, sorted,
-                        scratch);
-          return;
-        }
-        std::vector<double> row;
-        for (std::size_t i = lo; i < hi; ++i) {
-          KnnDistances(i, k, scratch, row, sorted);
-          std::copy(row.begin(), row.end(), out.begin() + i * k);
-        }
-      },
-      kAlwaysParallel);
+  std::vector<std::uint32_t> all(n_);
+  for (std::size_t i = 0; i < n_; ++i) all[i] = static_cast<std::uint32_t>(i);
+  BatchKnnDistancesFor(all, k, out, pool, sorted);
 }
 
 void SpatialGrid::BatchKnnDistancesFor(std::span<const std::uint32_t> queries,
@@ -562,24 +581,90 @@ void SpatialGrid::BatchKnnDistancesFor(std::span<const std::uint32_t> queries,
   DPC_CHECK_LE(k, live_ - 1);
   DPC_CHECK_EQ(out.size(), queries.size() * k);
   if (k == 0 || queries.empty()) return;
-  constexpr std::size_t kQueryGrain = 16;
-  const bool dense = cells_per_axis_ == 1;
-  ParallelForChunks(
-      pool, 0, queries.size(), kQueryGrain,
-      [&](std::size_t lo, std::size_t hi, std::size_t) {
-        Workspace scratch;
-        if (dense) {
+  if (cells_per_axis_ == 1) {
+    ParallelForChunks(
+        pool, 0, queries.size(), kDenseQueryGrain,
+        [&](std::size_t lo, std::size_t hi, std::size_t) {
+          Workspace scratch;
           DenseKnnChunk(queries.data() + lo, hi - lo, k, out.data() + lo * k,
                         sorted, scratch);
-          return;
-        }
+        },
+        kAlwaysParallel);
+    return;
+  }
+
+  // Visit the rows in Z-order of their points (ties by row), then cut that
+  // order into fixed-size chains: each chain is a spatially compact run of
+  // queries and owns its rows, and the cut depends on the data alone, so the
+  // batch is bit-identical at any thread count.
+  const unsigned bits =
+      static_cast<unsigned>(std::min<std::size_t>(16, 64 / dim_));
+  const double axis = cell_size_ * static_cast<double>(cells_per_axis_);
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> keyed(queries.size());
+  for (std::size_t r = 0; r < queries.size(); ++r) {
+    keyed[r] = {MortonKey(data_.data() + queries[r] * dim_, dim_, axis, bits),
+                static_cast<std::uint32_t>(r)};
+  }
+  std::sort(keyed.begin(), keyed.end());
+
+  ParallelForChunks(
+      pool, 0, keyed.size(), kSeedChainGrain,
+      [&](std::size_t lo, std::size_t hi, std::size_t) {
+        Workspace scratch;
         std::vector<double> row;
-        for (std::size_t r = lo; r < hi; ++r) {
-          KnnDistances(queries[r], k, scratch, row, sorted);
-          std::copy(row.begin(), row.end(), out.begin() + r * k);
+        const double* prev = nullptr;  // The chain's previous query row.
+        double prev_kth = 0.0;         // Its k-th nearest distance.
+        for (std::size_t c = lo; c < hi; ++c) {
+          const std::uint32_t r = keyed[c].second;
+          const std::uint32_t id = queries[r];
+          const double* q = data_.data() + id * dim_;
+          double* dst = out.data() + r * k;
+          // A step of at most one cell keeps the seeded ball about as tight
+          // as the predecessor's; longer jumps (chain starts, Z-order seams,
+          // scattered id lists) take the ring search.
+          bool seeded = false;
+          if (prev != nullptr) {
+            const double step = std::sqrt(RowSquaredDistance(q, prev, dim_));
+            if (step <= cell_size_) {
+              seeded = SeededKnn(q, k, (prev_kth + step) * (1.0 + kBoundSlack),
+                                 scratch, sorted, dst);
+            }
+          }
+          if (!seeded) {
+            KnnDistances(id, k, scratch, row, sorted);
+            std::copy(row.begin(), row.end(), dst);
+          }
+          prev = q;
+          prev_kth = *std::max_element(dst, dst + k);
         }
       },
       kAlwaysParallel);
+}
+
+bool SpatialGrid::SeededKnn(const double* q, std::size_t k, double bound,
+                            Workspace& scratch, bool sorted,
+                            double* out) const {
+  // Keep every live point within `bound` of q, q itself included (its
+  // self-distance is exactly +0.0 <= bound^2).
+  const std::span<const double> qs{q, dim_};
+  const double max_sq = bound * bound;
+  std::vector<double>& cands = scratch.candidates;
+  cands.clear();
+  ForEachLiveCellWithin(q, bound, scratch, [&](std::uint64_t cell) {
+    ScanCell(cell, qs, cands, max_sq);
+  });
+  const auto self = std::find(cands.begin(), cands.end(), 0.0);
+  DPC_CHECK(self != cands.end());
+  *self = cands.back();
+  cands.pop_back();
+  // Whenever at least k candidates were kept, the k smallest of them are the
+  // k smallest overall. The triangle inequality promises k; only squared
+  // distances (or a squared bound) that underflow can break the promise.
+  if (cands.size() < k) return false;
+  SelectSmallest(cands, k, scratch);
+  if (sorted) std::sort(cands.begin(), cands.end());
+  for (std::size_t i = 0; i < k; ++i) out[i] = std::sqrt(cands[i]);
+  return true;
 }
 
 template <typename ScanCellFn>
@@ -613,9 +698,18 @@ void SpatialGrid::ForEachLiveCellWithin(const double* q, double r,
     }
     return;
   }
-  // Visits every in-bounds cell within Chebyshev distance rho_needed.
-  auto visit_box = [&](auto&& self, std::size_t axis,
-                       std::uint64_t partial) -> void {
+  // Visits every in-bounds cell within Chebyshev distance rho_needed whose
+  // box meets the ball: `gap_sq` sums the squared per-axis gaps from q to
+  // the cell's slab so far. Each gap is shrunk by a 1e-9 cell fraction
+  // (far above the rounding of a cell edge, c * cell_size) and the radius
+  // grown by the same relative slack, so the test never drops a cell that
+  // holds a point the sqrt(squared) <= r predicate accepts. A gap measured
+  // from q's own coordinate stays a lower bound when CellOf clamped q or a
+  // point onto a boundary cell.
+  const double slack = cell_size_ * kBoundSlack;
+  const double r_sq = r * r * (1.0 + kBoundSlack);
+  auto visit_box = [&](auto&& self, std::size_t axis, std::uint64_t partial,
+                       double gap_sq) -> void {
     if (axis == dim_) {
       if (cell_end_[partial] > seg_start_[partial]) {
         scan(partial);
@@ -626,12 +720,22 @@ void SpatialGrid::ForEachLiveCellWithin(const double* q, double r,
     const std::int64_t lo = std::max<std::int64_t>(center[axis] - rho, 0);
     const std::int64_t hi = std::min<std::int64_t>(center[axis] + rho, m - 1);
     for (std::int64_t c = lo; c <= hi; ++c) {
+      double gap = 0.0;
+      if (c > center[axis]) {
+        gap = static_cast<double>(c) * cell_size_ - q[axis];
+      } else if (c < center[axis]) {
+        gap = q[axis] - static_cast<double>(c + 1) * cell_size_;
+      }
+      gap = std::max(0.0, gap - slack);
+      const double cell_gap_sq = gap_sq + gap * gap;
+      if (cell_gap_sq > r_sq) continue;
       self(self, axis + 1,
            partial * static_cast<std::uint64_t>(m) +
-               static_cast<std::uint64_t>(c));
+               static_cast<std::uint64_t>(c),
+           cell_gap_sq);
     }
   };
-  visit_box(visit_box, 0, 0);
+  visit_box(visit_box, 0, 0, 0.0);
 }
 
 std::size_t SpatialGrid::CountWithin(std::size_t query, double r,

@@ -5,7 +5,7 @@
 //
 // The cube [0, axis]^d is cut into m^d equal cells (m chosen from n, d and
 // the expected neighbor count k so that a cell holds ~k/4 points); points are
-// bucketed into a CSR layout by cell id. A k-NN query expands Chebyshev
+// bucketed into a CSR layout by cell id. A single k-NN query expands Chebyshev
 // rings of cells around the query's cell: after scanning rings 0..rho, every
 // point within Euclidean distance rho * cell_size has been seen (a point in
 // an unscanned cell differs from the query by more than rho * cell_size on
@@ -35,18 +35,33 @@
 // or intra-cell order, so every answer stays bit-identical to a fresh
 // rebuild over the same live set.
 //
+// Seeded batches: the batch entry points visit their queries in Z-order
+// (Morton order of the quantized coordinates) cut into fixed chains of 64.
+// A chain's first query runs the ring search; each later query q, whose
+// predecessor p lies within one cell of it, is bounded by
+// U = kth(p) + |q - p| (inflated by a 1e-9 relative slack): p and its k
+// neighbors, less q, are >= k live points within U of q by the triangle
+// inequality. q then scans only the live cells whose extent meets ball(q, U),
+// keeps the candidates with squared distance <= U^2 and selects once. When
+// at least k candidates survive, the k smallest of them are the k smallest
+// overall, so the row is exact; otherwise (only reachable when squared
+// distances underflow) and on any longer step, q takes the ring search.
+// The one-cell grid (high d) keeps its blocked dense scan instead.
+//
 // Determinism: queries return the sorted k smallest distance values, which
 // are independent of cell-enumeration order, of tie-breaking among
 // equidistant neighbors, and of the intra-cell permutation left behind by
-// swap-removal. BatchKnnDistances writes each query's row into a
-// caller-owned slice through ParallelForChunks, so the batch is bit-identical
-// at any thread count.
+// swap-removal. The batches write each query's row into a caller-owned slice
+// through ParallelForChunks; the Z-order and the chain cut depend on the data
+// alone, so a batch is bit-identical at any thread count, unsorted rows
+// included.
 
 #ifndef DPCLUSTER_GEO_SPATIAL_GRID_H_
 #define DPCLUSTER_GEO_SPATIAL_GRID_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -123,17 +138,21 @@ class SpatialGrid {
   void KnnDistances(std::size_t query, std::size_t k, Workspace& scratch,
                     std::vector<double>& out, bool sorted = true) const;
 
-  /// All n queries at once: row i of `out` (row stride `k`) receives
-  /// KnnDistances(i, k, sorted) — callers pass k <= n-1. out.size() must be
-  /// n * k. Only valid while no point has been removed (every index is
-  /// queried). Rows are chunk-owned, so the result is bit-identical at any
-  /// thread count.
+  /// All n queries at once through the seeded chains (file comment): row i
+  /// of `out` (row stride `k`) receives the values of KnnDistances(i, k) —
+  /// byte-identical to it when `sorted`, the same multiset in an unspecified
+  /// order otherwise. Callers pass k <= n-1; out.size() must be n * k. Only
+  /// valid while no point has been removed (every index is queried). Rows
+  /// are chain-owned, so the result is bit-identical at any thread count.
   void BatchKnnDistances(std::size_t k, std::span<double> out,
                          ThreadPool* pool, bool sorted = true) const;
 
   /// Batched k-NN for an explicit query list (every id must be live): row r
-  /// of `out` (row stride `k`) receives KnnDistances(queries[r], k, sorted);
-  /// callers pass k <= live_size()-1 and out.size() == queries.size() * k.
+  /// of `out` (row stride `k`) receives the values of
+  /// KnnDistances(queries[r], k), with the same sorted / unsorted contract
+  /// as BatchKnnDistances. Scattered lists (few queries within a cell of
+  /// their Z-order predecessor) fall back to the ring search per query.
+  /// Callers pass k <= live_size()-1 and out.size() == queries.size() * k.
   /// Bit-identical at any thread count.
   void BatchKnnDistancesFor(std::span<const std::uint32_t> queries,
                             std::size_t k, std::span<double> out,
@@ -173,9 +192,11 @@ class SpatialGrid {
   SpatialGrid() = default;
 
   std::uint64_t CellOf(const double* p) const;
-  /// Appends the squared distances from q to every live point of cell `cell`.
+  /// Appends the squared distances from q to the live points of cell `cell`,
+  /// keeping only those <= max_sq (all of them by default).
   void ScanCell(std::uint64_t cell, std::span<const double> q,
-                std::vector<double>& cands) const;
+                std::vector<double>& cands,
+                double max_sq = std::numeric_limits<double>::infinity()) const;
   /// k-NN rows for a chunk of queries on the degenerate one-cell exact grid
   /// (cells_per_axis_ == 1): tiles the live prefix across the chunk so the
   /// dataset streams once per chunk instead of once per query. Per-pair
@@ -184,12 +205,18 @@ class SpatialGrid {
   void DenseKnnChunk(const std::uint32_t* queries, std::size_t nq,
                      std::size_t k, double* out, bool sorted,
                      Workspace& scratch) const;
+  /// k-NN row for the point at row `q` from the live points within `bound`
+  /// of it, written to out[0, k). Returns false, writing nothing, when fewer
+  /// than k such points exist besides q.
+  bool SeededKnn(const double* q, std::size_t k, double bound,
+                 Workspace& scratch, bool sorted, double* out) const;
   /// Decodes the query's cell coordinates into scratch.center and returns the
   /// largest Chebyshev ring radius that still touches the grid.
   std::size_t DecodeCenter(const double* p, Workspace& scratch) const;
   /// Calls scan(cell) for every cell with a non-empty live prefix that can
-  /// hold a point within Euclidean distance r of row `q`: the covering
-  /// Chebyshev box, or every live occupied cell once the box is wider.
+  /// hold a point within Euclidean distance r of row `q`: the cells of the
+  /// covering Chebyshev box whose extent meets the ball, or every live
+  /// occupied cell once the box is wider than the occupancy.
   template <typename ScanCellFn>
   void ForEachLiveCellWithin(const double* q, double r, Workspace& scratch,
                              ScanCellFn&& scan) const;

@@ -142,6 +142,58 @@ TEST(IndexedDatasetTest, KnnAfterRemovalMatchesFreshRebuild) {
   }
 }
 
+// The seeded batch behind BatchKnn against brute force over ActiveView, on
+// multi-cell grids that have lost points and grown new ones: sorted rows byte
+// for byte, unsorted rows as multisets, at 1, 2 and 8 threads.
+TEST(IndexedDatasetTest, SeededBatchKnnMatchesBruteForceAfterEdits) {
+  std::uint64_t seed = 150;
+  for (const std::size_t dim : {1u, 2u, 3u, 5u}) {
+    Rng rng(++seed);
+    const GridDomain domain(1u << 8, dim);
+    PointSet all = testing_util::UniformCube(rng, 360, dim);
+    domain.SnapAll(all);
+    const std::size_t n0 = 300;
+    PointSet head(dim);
+    for (std::size_t i = 0; i < n0; ++i) head.Add(all[i]);
+    ASSERT_OK_AND_ASSIGN(IndexedDataset index,
+                         IndexedDataset::Create(std::move(head), domain));
+    std::vector<double> warm(n0 * 2);
+    index.BatchKnn(2, warm, nullptr);  // Sizes the grid for k = 2.
+    index.Remove(EveryThird(n0));
+    for (std::size_t i = n0; i < all.size(); ++i) {
+      ASSERT_OK(index.Insert(all[i]).status());
+    }
+    ASSERT_TRUE(index.grid_built());
+
+    const PointSet view = index.ActiveView();
+    const std::size_t m = index.active_size();
+    std::vector<std::vector<double>> brute(m);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < m; ++j) {
+        if (j != i) brute[i].push_back(Distance(view[i], view[j]));
+      }
+      std::sort(brute[i].begin(), brute[i].end());
+    }
+    for (const std::size_t k : {std::size_t{1}, std::size_t{7}, m / 8, m - 1}) {
+      for (const bool sorted : {true, false}) {
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+          ThreadPool pool(threads);
+          std::vector<double> got(m * k);
+          index.BatchKnn(k, got, &pool, sorted);
+          for (std::size_t i = 0; i < m; ++i) {
+            std::vector<double> row(got.begin() + i * k,
+                                    got.begin() + (i + 1) * k);
+            if (!sorted) std::sort(row.begin(), row.end());
+            ASSERT_TRUE(std::equal(row.begin(), row.end(), brute[i].begin()))
+                << "d=" << dim << " k=" << k << " sorted=" << sorted
+                << " threads=" << threads << " row=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(IndexedDatasetTest, BatchCountWithinMatchesBruteForce) {
   Rng rng(5);
   IndexedDataset index = MakeIndexed(rng, 180, 2);

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "dpcluster/data/registry.h"
 #include "dpcluster/data/scenario.h"
@@ -275,6 +277,41 @@ TEST(ScenarioShapeTest, NearTieDecoyHoldsOneFewerPoint) {
   EXPECT_GT(Distance(instance.true_balls[0].center,
                      instance.true_balls[1].center),
             4.0 * instance.true_balls[0].radius);
+}
+
+// cluster_fraction = t / n must plant exactly t points for every pair; t / n
+// times n lands one ulp below t for many pairs, which plain truncation
+// turned into t - 1.
+TEST(ScenarioSpecTest, FractionTOverNPlantsExactlyT) {
+  constexpr std::size_t kMaxN = 3000;
+  std::vector<std::pair<std::size_t, std::size_t>> short_by_truncation;
+  for (std::size_t n = 1; n < kMaxN; ++n) {
+    ScenarioSpec spec;
+    spec.n = n;
+    for (std::size_t t = 1; t <= n; ++t) {
+      spec.cluster_fraction =
+          static_cast<double>(t) / static_cast<double>(n);
+      ASSERT_EQ(spec.PrimaryCount(), t) << "n=" << n << " t=" << t;
+      if (static_cast<std::size_t>(spec.cluster_fraction *
+                                   static_cast<double>(n)) != t) {
+        short_by_truncation.push_back({n, t});
+      }
+    }
+  }
+  ASSERT_FALSE(short_by_truncation.empty());
+  // Through the generator on a spread of the pairs truncation got wrong.
+  const std::size_t stride = short_by_truncation.size() / 200 + 1;
+  for (std::size_t i = 0; i < short_by_truncation.size(); i += stride) {
+    const auto [n, t] = short_by_truncation[i];
+    ScenarioSpec spec;
+    spec.n = n;
+    spec.cluster_fraction = static_cast<double>(t) / static_cast<double>(n);
+    Rng rng(i);
+    ASSERT_OK_AND_ASSIGN(ScenarioInstance instance,
+                         GenerateScenario(rng, spec));
+    EXPECT_EQ(instance.t, t) << "n=" << n;
+    EXPECT_EQ(instance.LabelCount(0), t) << "n=" << n;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for geo/SpatialGrid: the expanding ring search must return exactly
 // the brute-force k-NN distance multiset — same doubles, bit for bit — for
 // every data shape (uniform, duplicate-heavy, degenerate, boundary) and at
-// any thread count.
+// any thread count; the seeded batch must reproduce the ring search row for
+// row.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "dpcluster/data/registry.h"
 #include "dpcluster/geo/spatial_grid.h"
 #include "dpcluster/la/vector_ops.h"
 #include "dpcluster/parallel/thread_pool.h"
@@ -243,6 +245,165 @@ TEST(SpatialGridTest, BatchBitIdenticalAcrossThreadCounts) {
     std::vector<double> parallel(s.size() * k);
     grid.BatchKnnDistances(k, parallel, &pool);
     EXPECT_EQ(serial, parallel) << "threads=" << threads;
+  }
+}
+
+// Per-query ring-search rows for `queries` (row stride k).
+std::vector<double> PerQueryRows(const SpatialGrid& grid,
+                                 std::span<const std::uint32_t> queries,
+                                 std::size_t k, bool sorted) {
+  SpatialGrid::Workspace ws;
+  std::vector<double> row;
+  std::vector<double> rows(queries.size() * k);
+  for (std::size_t r = 0; r < queries.size(); ++r) {
+    grid.KnnDistances(queries[r], k, ws, row, sorted);
+    std::copy(row.begin(), row.end(), rows.begin() + r * k);
+  }
+  return rows;
+}
+
+// Row r of `got` holds the same values as row r of `want`: byte for byte
+// when sorted, as a multiset otherwise.
+void ExpectSameRows(std::vector<double> got, std::vector<double> want,
+                    std::size_t k, bool sorted, const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  if (!sorted) {
+    for (std::size_t r = 0; r * k < got.size(); ++r) {
+      std::sort(got.begin() + r * k, got.begin() + (r + 1) * k);
+      std::sort(want.begin() + r * k, want.begin() + (r + 1) * k);
+    }
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << label << " row=" << i / k
+                               << " rank=" << i % k;
+  }
+}
+
+// The seeded batch against the per-query ring search: sorted rows byte for
+// byte, unsorted rows as multisets, and every thread count byte-identical to
+// the serial batch (unsorted rows included — the chains are cut by size).
+void ExpectBatchMatchesPerQuery(const PointSet& s, const GridDomain& domain,
+                                std::size_t k,
+                                std::span<ThreadPool* const> pools,
+                                const std::string& label) {
+  ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, k));
+  std::vector<std::uint32_t> all(s.size());
+  for (std::uint32_t i = 0; i < s.size(); ++i) all[i] = i;
+  for (const bool sorted : {true, false}) {
+    const std::string where = label + " k=" + std::to_string(k) +
+                              " sorted=" + std::to_string(sorted);
+    std::vector<double> serial(s.size() * k);
+    grid.BatchKnnDistances(k, serial, nullptr, sorted);
+    ExpectSameRows(serial, PerQueryRows(grid, all, k, sorted), k, sorted,
+                   where);
+    for (ThreadPool* pool : pools) {
+      std::vector<double> parallel(s.size() * k);
+      grid.BatchKnnDistances(k, parallel, pool, sorted);
+      ASSERT_EQ(parallel, serial)
+          << where << " threads=" << pool->num_threads();
+    }
+  }
+}
+
+TEST(SpatialGridTest, SeededBatchMatchesPerQueryAcrossFamilies) {
+  ThreadPool two(2);
+  ThreadPool eight(8);
+  ThreadPool* const pools[] = {&two, &eight};
+  const std::size_t n = 320;
+  for (const char* family : {"planted_cluster", "near_tie", "gaussian_mixture",
+                             "annulus", "outlier_contaminated"}) {
+    for (const std::size_t d : {1u, 2u, 3u, 5u}) {
+      ScenarioSpec spec;
+      spec.scenario = family;
+      spec.n = n;
+      spec.dim = d;
+      spec.levels = 1u << 10;
+      spec.cluster_fraction = 0.25;
+      spec.cluster_radius = 0.05;
+      Rng rng(110 + d);
+      ASSERT_OK_AND_ASSIGN(ScenarioInstance instance,
+                           GenerateScenario(rng, spec));
+      for (const std::size_t k : {std::size_t{1}, std::size_t{7}, n / 8,
+                                  n - 1}) {
+        ExpectBatchMatchesPerQuery(
+            instance.points, instance.domain, k, pools,
+            std::string(family) + " d=" + std::to_string(d));
+      }
+    }
+  }
+}
+
+TEST(SpatialGridTest, SeededBatchOnDuplicateLatticeAndCubeFaces) {
+  // Coordinates on the 5-level lattice {0, 1/4, ..., 1}: nearly every point
+  // has exact duplicates (zero distances and zero seeded bounds), and a
+  // fifth of every axis sits on a cube face, where CellOf clamps coordinate
+  // 1.0 into the last cell.
+  ThreadPool two(2);
+  ThreadPool eight(8);
+  ThreadPool* const pools[] = {&two, &eight};
+  const std::size_t n = 300;
+  for (const std::size_t d : {1u, 2u, 3u, 5u}) {
+    Rng rng(120 + d);
+    const GridDomain domain(1u << 10, d);
+    PointSet s(d);
+    std::vector<double> p(d);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (double& x : p) x = static_cast<double>(rng.NextUint64(5)) / 4.0;
+      s.Add(p);
+    }
+    for (const std::size_t k : {std::size_t{1}, std::size_t{7}, n / 8,
+                                n - 1}) {
+      ExpectBatchMatchesPerQuery(s, domain, k, pools,
+                                 "lattice d=" + std::to_string(d));
+    }
+  }
+}
+
+TEST(SpatialGridTest, SeededBatchForScatteredIdsAfterRemoveAndAppend) {
+  // The query lists KnnCappedCounts::ApplyBatch issues: ascending, scattered
+  // ids of survivors plus freshly appended points, on a grid that has lost
+  // points (Remove) and grown past its build (Append, segment relocation).
+  ThreadPool two(2);
+  ThreadPool eight(8);
+  for (const std::size_t d : {1u, 2u, 3u, 5u}) {
+    Rng rng(130 + d);
+    const GridDomain domain(1u << 10, d);
+    const std::size_t n0 = 400;
+    PointSet s = testing_util::UniformCube(rng, n0, d);
+    domain.SnapAll(s);
+    const std::size_t k = 24;
+    ASSERT_OK_AND_ASSIGN(SpatialGrid grid, SpatialGrid::Build(s, domain, k));
+    ASSERT_GT(grid.cells_per_axis(), 1u);
+    for (std::size_t i = 0; i < n0; i += 3) grid.Remove(i);
+    PointSet extra = testing_util::UniformCube(rng, 80, d);
+    domain.SnapAll(extra);
+    for (std::size_t i = 0; i < extra.size(); ++i) {
+      s.Add(extra[i]);
+      grid.Append(s.Data());
+    }
+    std::vector<std::uint32_t> queries;
+    for (std::uint32_t id = 1; id < s.size(); id += 7) {
+      if (grid.IsLive(id)) queries.push_back(id);
+    }
+    for (std::uint32_t id = static_cast<std::uint32_t>(n0); id < s.size();
+         id += 2) {
+      queries.push_back(id);
+    }
+    std::sort(queries.begin(), queries.end());
+    queries.erase(std::unique(queries.begin(), queries.end()), queries.end());
+    for (const bool sorted : {true, false}) {
+      const std::string where =
+          "d=" + std::to_string(d) + " sorted=" + std::to_string(sorted);
+      std::vector<double> serial(queries.size() * k);
+      grid.BatchKnnDistancesFor(queries, k, serial, nullptr, sorted);
+      ExpectSameRows(serial, PerQueryRows(grid, queries, k, sorted), k,
+                     sorted, where);
+      for (ThreadPool* pool : {&two, &eight}) {
+        std::vector<double> parallel(queries.size() * k);
+        grid.BatchKnnDistancesFor(queries, k, parallel, pool, sorted);
+        ASSERT_EQ(parallel, serial) << where;
+      }
+    }
   }
 }
 
